@@ -4,8 +4,9 @@ Run with::
 
     pytest benchmarks/test_bench_fastcore.py --benchmark-only -s
 
-Two acceptance gates, both on an E2-style grid (gshare capacity sweep
-over the technique-sensitive workload subset, small scale):
+Two acceptance gates on an E2-style grid (gshare capacity sweep over
+the technique-sensitive workload subset, small scale), and one on an
+E11-style grid:
 
 * ``bench_fastcore_speedup_gate`` — the flat-kernel core must push
   ``sweep.points_per_second`` at least 5x the object core's, with
@@ -13,14 +14,17 @@ over the technique-sensitive workload subset, small scale):
 * ``bench_numpy_vs_fast_gate`` — the numpy-batched backend must be at
   least as fast as the scalar fast loop on gshare (the table-indexed
   case it exists for).
+* ``bench_fastcore_families_gate`` — the tournament, perceptron and
+  TAGE kernels, with and without SFP+PGU, must together run at least
+  3x the object core's points per second, with bit-identical results.
 
-Both report their measured numbers through :func:`emit_gate`, so the
+All report their measured numbers through :func:`emit_gate`, so the
 run-history store tracks the trend behind the thresholds.
 """
 
 from benchmarks.conftest import BENCH_SUBSET, emit_gate, run_once
 from repro import telemetry
-from repro.predictors import make_predictor
+from repro.predictors import PGUConfig, SFPConfig, make_predictor
 from repro.sim import SimOptions, sweep
 from repro.workloads import get_workload
 
@@ -34,6 +38,18 @@ SIZES = (256, 1024, 4096, 16384)
 #: Minimum accepted points-per-second ratio, fast core vs object core.
 #: Measured ~8x warm; 5x leaves room for noisy CI machines.
 FAST_SPEEDUP_FLOOR = 5.0
+
+#: Minimum points-per-second ratio on the E11-style families grid.
+#: The composite kernels keep more serial work in Python than the
+#: table kernels (perceptron dot products, TAGE provider search).
+FAMILIES_SPEEDUP_FLOOR = 3.0
+
+#: E11's composite families at its default size (entries=1024).
+FAMILIES = {
+    "tournament": lambda: make_predictor("tournament", entries=1024),
+    "perceptron": lambda: make_predictor("perceptron", entries=64),
+    "tage": lambda: make_predictor("tage", entries=1024),
+}
 
 
 def _grid():
@@ -171,4 +187,47 @@ def bench_numpy_vs_fast_gate(benchmark):
     assert ratio >= 1.0, (
         f"numpy backend was slower than the scalar fast loop "
         f"({ratio:.2f}x)"
+    )
+
+
+def bench_fastcore_families_gate(benchmark):
+    """Composite kernels >= 3x object-core throughput, identically."""
+    traces = {
+        name: get_workload(name).trace(scale=SCALE)
+        for name in BENCH_SUBSET
+    }
+    grid = [SimOptions(), SimOptions(sfp=SFPConfig(), pgu=PGUConfig())]
+    measured = {}
+
+    def compare():
+        obj_pps, obj_results, _ = _best_throughput(
+            traces, FAMILIES, grid, "object", repeats=1
+        )
+        fast_pps, fast_results, _ = _best_throughput(
+            traces, FAMILIES, grid, "fast", repeats=2
+        )
+        measured.update(
+            object_pps=obj_pps,
+            fast_pps=fast_pps,
+            identical=_fingerprint(obj_results)
+            == _fingerprint(fast_results),
+        )
+
+    run_once(benchmark, compare)
+    speedup = measured["fast_pps"] / measured["object_pps"]
+    emit_gate(
+        "fastcore_families",
+        object_points_per_second=measured["object_pps"],
+        fast_points_per_second=measured["fast_pps"],
+        speedup=speedup,
+        identical=float(measured["identical"]),
+    )
+    print(
+        f"\nobject {measured['object_pps']:.2f} pts/s, "
+        f"fast {measured['fast_pps']:.2f} pts/s, speedup {speedup:.1f}x"
+    )
+    assert measured["identical"], "fast core diverged from object core"
+    assert speedup >= FAMILIES_SPEEDUP_FLOOR, (
+        f"families speedup {speedup:.2f}x is below the "
+        f"{FAMILIES_SPEEDUP_FLOOR:.0f}x floor"
     )

@@ -34,9 +34,7 @@ FAMILIES = {
     "perceptron": lambda entries: make_predictor(
         "perceptron", entries=max(64, entries // 16)
     ),
-    "tage": lambda entries: make_predictor(
-        "tage", base_entries=entries, table_entries=max(64, entries // 4)
-    ),
+    "tage": lambda entries: make_predictor("tage", entries=entries),
 }
 
 FAST_FAMILIES = ("bimodal", "gshare", "local")

@@ -13,8 +13,20 @@ from repro.predictors.tage import TagePredictor
 from repro.predictors.tournament import TournamentPredictor
 from repro.predictors.twolevel import GAgPredictor, LocalPredictor
 
+
+def _tage(entries=None, **kwargs) -> TagePredictor:
+    """``entries`` sizes the base table; each tagged table gets a
+    quarter of it (at least 64 entries)."""
+    if entries is not None:
+        kwargs.setdefault("base_entries", entries)
+        kwargs.setdefault("table_entries", max(64, entries // 4))
+    return TagePredictor(**kwargs)
+
+
+#: ``entries`` is the one size knob every name accepts; static and
+#: perfect have no tables and ignore it.
 _FACTORIES = {
-    "static": lambda **kw: StaticPredictor(**kw),
+    "static": lambda entries=None, **kw: StaticPredictor(**kw),
     "bimodal": lambda **kw: BimodalPredictor(**kw),
     "gshare": lambda **kw: GSharePredictor(**kw),
     "gselect": lambda **kw: GSelectPredictor(**kw),
@@ -22,8 +34,8 @@ _FACTORIES = {
     "local": lambda **kw: LocalPredictor(**kw),
     "tournament": lambda **kw: TournamentPredictor(**kw),
     "perceptron": lambda **kw: PerceptronPredictor(**kw),
-    "perfect": lambda **kw: PerfectPredictor(**kw),
-    "tage": lambda **kw: TagePredictor(**kw),
+    "perfect": lambda entries=None, **kw: PerfectPredictor(**kw),
+    "tage": _tage,
 }
 
 

@@ -64,6 +64,11 @@ class TagePredictor(BranchPredictor):
         tag_bits: tag width.
     """
 
+    #: mispredicted updates between global useful-counter agings;
+    #: an instance may lower it (the differential suite does, to reach
+    #: the aging path on tiny traces)
+    aging_period = 256_000
+
     def __init__(
         self,
         base_entries: int = 4096,
@@ -170,7 +175,7 @@ class TagePredictor(BranchPredictor):
                     table.useful[slot] -= 1
         # Periodic global aging keeps entries reclaimable.
         self._ticks += 1
-        if self._ticks >= 256_000:
+        if self._ticks >= self.aging_period:
             self._ticks = 0
             for table in self.tables:
                 for slot in range(len(table.useful)):

@@ -191,8 +191,10 @@ def simulate(
     :func:`repro.sim.core.resolve_core` (context, then
     ``$REPRO_SIM_CORE``, then ``"object"``).  Results are bit-identical
     across cores; points the fast cores cannot model exactly —
-    unkernelized predictors, BTB modelling, profiler collectors — run
-    here regardless of the knob.
+    predictors without a kernel (static, perfect) and profiler
+    collectors — run here regardless of the knob.  Every call counts
+    ``sim.core.<used>``; a fallback also counts
+    ``sim.fallback.<reason>`` (``predictor`` or ``collector``).
 
     With tracing on (:mod:`repro.telemetry.tracing`) the run is wrapped
     in a ``sim.driver`` trace span; this is trace-only — the ``sim.*``
@@ -220,6 +222,7 @@ def _simulate(
     core: str,
 ) -> SimResult:
     """The driver body; ``core`` arrives resolved (see :func:`simulate`)."""
+    fallback = None
     if core != "object":
         from repro.sim import fastcore
 
@@ -227,6 +230,10 @@ def _simulate(
             return fastcore.run_fast(
                 trace, predictor, options, core=core
             )
+        fallback = (
+            "collector" if fastcore.kernelizable(predictor)
+            else "predictor"
+        )
     availability = AvailabilityModel(options.distance)
     history = GlobalHistory(options.history_bits)
     sfp = options.sfp
@@ -453,6 +460,9 @@ def _simulate(
                 stats.mispredictions
             )
             registry.counter(f"{prefix}.squashed").inc(stats.squashed)
+        registry.counter("sim.core.object").inc()
+        if fallback is not None:
+            registry.counter(f"sim.fallback.{fallback}").inc()
 
     # Duck-typed: any collector that exposes an `aggregator` (e.g.
     # AggregatingCollector, or a Tee wrapping one) rides back on the

@@ -9,12 +9,15 @@ ABI, the pre-decode layout and how to add a kernel.
 
 Entry point: :func:`run_fast`, reached through
 ``simulate(..., core="fast"|"numpy")``.  The object core remains the
-reference and the only path for predictors without a kernel, for BTB
-modelling and for profiler collectors — ``simulate`` falls back
-automatically (see :func:`supported`).
+reference and the only path for predictors without a kernel (static,
+perfect) and for profiler collectors — ``simulate`` falls back
+automatically (see :func:`supported`).  A BTB is modelled by an exact
+post-pass over the replayed directions
+(:func:`~repro.sim.fastcore.replay.btb_misfetches`).
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -32,7 +35,7 @@ from repro.sim.fastcore.kernels import (
     kernel_from_predictor,
     kernelizable,
 )
-from repro.sim.fastcore.replay import fast_replay
+from repro.sim.fastcore.replay import btb_misfetches, fast_replay
 from repro.sim.stats import ClassStats
 from repro.trace.container import BranchClass
 
@@ -44,6 +47,7 @@ __all__ = [
     "ReplayPlan",
     "batch_replay",
     "batch_supported",
+    "btb_misfetches",
     "build_plan",
     "differential_check",
     "fast_replay",
@@ -57,15 +61,11 @@ __all__ = [
 def supported(predictor, options: SimOptions, collector=None) -> bool:
     """Can the fast cores run this point exactly?
 
-    BTB modelling and profiler collectors are object-core-only; so is
-    any predictor without a registered kernel (static, perfect,
-    tournament, perceptron, TAGE).
+    Profiler collectors are object-core-only; so is any predictor
+    without a registered kernel (static, perfect, subclasses).  BTB
+    modelling runs on every core.
     """
-    return (
-        collector is None
-        and options.btb is None
-        and kernelizable(predictor)
-    )
+    return collector is None and kernelizable(predictor)
 
 
 _PLAN_CACHE_LIMIT = 8
@@ -76,11 +76,14 @@ def _plan_for(trace, options: SimOptions) -> ReplayPlan:
 
     Pre-decode depends only on the trace and the simulation options,
     never on the predictor, so a sweep grid replaying one workload
-    under many predictors decodes it once.  The cache lives on the
-    trace object and dies with it; a small cap guards against
-    many-option grids pinning plans for the trace's whole lifetime.
+    under many predictors decodes it once.  Neither the BTB geometry
+    nor flag recording changes the decode, so the key drops both: BTB
+    sweeps share one plan per trace.  The cache lives on the trace
+    object and dies with it; a small cap guards against many-option
+    grids pinning plans for the trace's whole lifetime.
     """
     cache = trace.__dict__.setdefault("_fastcore_plans", {})
+    options = replace(options, btb=None, record_flags=False)
     key = repr(options)
     plan = cache.get(key)
     if plan is None:
@@ -137,6 +140,13 @@ def run_fast(
     mispredictions = int(mis.shape[0])
     squash = plan.squash
     squashed = int(squash.sum()) if squash is not None else 0
+    if options.btb is not None:
+        misfetched = btb_misfetches(
+            plan, mis, trace.b_target, options.btb
+        )
+    else:
+        misfetched = np.zeros(0, dtype=np.int64)
+    misfetches = int(misfetched.shape[0])
 
     branch_counts = np.bincount(plan.cls, minlength=3)
     mis_counts = np.bincount(plan.cls[mis], minlength=3)
@@ -175,7 +185,7 @@ def run_fast(
         registry.counter("sim.updates").inc(updates)
         registry.counter("sim.mispredictions").inc(mispredictions)
         registry.counter("sim.squashed").inc(squashed)
-        registry.counter("sim.misfetches").inc(0)
+        registry.counter("sim.misfetches").inc(misfetches)
         for branch_class, stats in per_class.items():
             prefix = f"sim.class.{branch_class.name.lower()}"
             registry.counter(f"{prefix}.branches").inc(stats.branches)
@@ -193,6 +203,8 @@ def run_fast(
     if options.record_flags:
         correct = np.ones(n, dtype=bool)
         correct[mis] = False
+        misfetch = np.zeros(n, dtype=bool)
+        misfetch[misfetched] = True
         flags = BranchFlags(
             correct=correct,
             squashed=(
@@ -200,7 +212,7 @@ def run_fast(
                 if squash is not None
                 else np.zeros(n, dtype=bool)
             ),
-            misfetch=np.zeros(n, dtype=bool),
+            misfetch=misfetch,
         )
 
     return SimResult(
@@ -212,7 +224,7 @@ def run_fast(
         mispredictions=mispredictions,
         squashed=squashed,
         per_class=per_class,
-        misfetches=0,
+        misfetches=misfetches,
         flags=flags,
         attribution=None,
     )

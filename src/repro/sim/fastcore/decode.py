@@ -39,7 +39,8 @@ class BranchTrace:
     """Option-independent flat branch stream of one executed workload.
 
     Branch arrays (fetch order): ``pc`` (static index), ``idx`` (dynamic
-    instruction index), ``taken`` (outcome), ``guard`` (qualifying
+    instruction index), ``taken`` (outcome), ``target`` (taken target,
+    -1 when the trace has none, e.g. returns), ``guard`` (qualifying
     predicate, 0 = p0), ``guard_def`` (dynamic index of the guard's
     defining write, -1 if never written), ``cls``
     (:class:`~repro.trace.container.BranchClass` value).  Define arrays
@@ -49,6 +50,7 @@ class BranchTrace:
     pc: np.ndarray
     idx: np.ndarray
     taken: np.ndarray
+    target: np.ndarray
     guard: np.ndarray
     guard_def: np.ndarray
     cls: np.ndarray
@@ -64,6 +66,7 @@ class BranchTrace:
             pc=trace.b_pc,
             idx=trace.b_idx,
             taken=trace.b_taken,
+            target=trace.b_target,
             guard=trace.b_guard,
             guard_def=trace.b_guard_def,
             cls=trace.branch_classes(),
@@ -214,7 +217,7 @@ def build_plan(trace, options: SimOptions) -> ReplayPlan:
     squash = _squash_mask(bt, options)
     ghr = _history_values(bt, options, squash)
     taken = bt.taken.astype(np.uint8)
-    pc = bt.pc.astype(np.int64)
+    pc = bt.pc.astype(np.int64, copy=False)  # no copy when int64
 
     sfp = options.sfp
     train_squashed = sfp is not None and sfp.update_pht
@@ -293,7 +296,7 @@ def build_plan(trace, options: SimOptions) -> ReplayPlan:
         pc=pc,
         taken=taken,
         ghr=ghr,
-        cls=bt.cls.astype(np.int8),
+        cls=bt.cls.astype(np.int8, copy=False),
         squash=squash,
         ev_branch=ev_branch,
         ev_read=ev_read,

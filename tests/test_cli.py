@@ -46,6 +46,17 @@ class TestCLI:
         assert "mispredicts" in out
         assert "squashed" in out
 
+    @pytest.mark.parametrize("predictor", ["tage", "static", "perfect"])
+    def test_simulate_predictors_without_an_entries_knob(
+        self, capsys, predictor
+    ):
+        code, out = run_cli(
+            capsys, "simulate", "crc", "--scale", "tiny",
+            "--predictor", predictor, "--core", "fast",
+        )
+        assert code == 0
+        assert "mispredicts" in out
+
     def test_simulate_baseline(self, capsys):
         code, out = run_cli(
             capsys, "simulate", "crc", "--scale", "tiny", "--baseline"

@@ -10,6 +10,8 @@ hypothesis-generated random traces, and proves the harness can
 localise a seeded divergence.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,9 +23,13 @@ from repro.predictors import (
     GSelectPredictor,
     GSharePredictor,
     LocalPredictor,
+    PerceptronPredictor,
     PGUConfig,
     SFPConfig,
+    TagePredictor,
+    TournamentPredictor,
 )
+from repro.pipeline import BTBConfig
 from repro.sim import SimOptions, simulate, use_core
 from repro.sim import fastcore
 from repro.trace.container import Trace, TraceMeta
@@ -33,6 +39,14 @@ pytestmark = pytest.mark.fastcore
 
 FAST_CORES = ("fast", "numpy")
 
+
+def _tage(aging_period=None, **kwargs):
+    predictor = TagePredictor(**kwargs)
+    if aging_period is not None:
+        predictor.aging_period = aging_period
+    return predictor
+
+
 #: One factory per kernelized predictor family.
 PREDICTORS = {
     "bimodal": lambda: BimodalPredictor(entries=512),
@@ -41,6 +55,16 @@ PREDICTORS = {
     "gag": lambda: GAgPredictor(entries=1024),
     "local": lambda: LocalPredictor(
         entries=512, local_entries=64, history_bits=9
+    ),
+    "tournament": lambda: TournamentPredictor(entries=512),
+    "perceptron": lambda: PerceptronPredictor(
+        entries=64, history_bits=12
+    ),
+    "tage": lambda: _tage(base_entries=512, table_entries=128),
+    # A period the tiny traces reach, so the global useful-counter
+    # aging runs (the default of 256k mispredictions never fires here).
+    "tage-aging": lambda: _tage(
+        base_entries=256, table_entries=64, aging_period=50
     ),
 }
 
@@ -66,6 +90,16 @@ VARIANT_OPTIONS = {
     "h8": SimOptions(history_bits=8),
     "h64": SimOptions(history_bits=64),
 }
+
+
+def _outcome_counters(counters):
+    """A counter snapshot minus the keys naming the path a point took
+    (``sim.core.*``, ``sim.fallback.*``), which differ across cores."""
+    return {
+        name: value
+        for name, value in counters.items()
+        if not name.startswith(("sim.core.", "sim.fallback."))
+    }
 
 
 def _assert_identical(ref, got, context):
@@ -118,6 +152,54 @@ def test_option_variants(workload, oname):
             assert report.first_divergence is None
 
 
+def _object_state(predictor):
+    """The object predictor's trained state, shaped like its kernel's
+    :meth:`state`."""
+    if isinstance(predictor, TournamentPredictor):
+        return {
+            "chooser": list(predictor.chooser.table),
+            "a": {
+                "table": list(predictor.a.counters.table),
+                "histories": list(predictor.a.histories),
+            },
+            "b": {"table": list(predictor.b.counters.table)},
+        }
+    if isinstance(predictor, PerceptronPredictor):
+        return {"weights": [list(row) for row in predictor.weights]}
+    return {
+        "base": list(predictor.base.table),
+        "tags": [list(t.tags) for t in predictor.tables],
+        "counters": [list(t.counters) for t in predictor.tables],
+        "useful": [list(t.useful) for t in predictor.tables],
+        "ticks": predictor._ticks,
+    }
+
+
+@pytest.mark.parametrize(
+    "label", ["tournament", "perceptron", "tage", "tage-aging"]
+)
+@pytest.mark.parametrize("oname", ["plain", "delayed+sfp+pgu"])
+def test_composite_trained_state_matches_object_predictor(
+    label, oname, monkeypatch
+):
+    """Chunked replay leaves every composite kernel's state exactly as
+    object training does, across chunk boundaries."""
+    from repro.sim.fastcore import replay
+
+    trace = get_workload("lexer").trace(scale="tiny", hyperblocks=True)
+    options = {**MATRIX_OPTIONS, **VARIANT_OPTIONS}[oname]
+    predictor = PREDICTORS[label]()
+    result = simulate(trace, predictor, options)
+    kernel = fastcore.kernel_from_predictor(PREDICTORS[label]())
+    # lexer has ~21k events: many chunk boundaries
+    monkeypatch.setattr(replay, "CHUNK_EVENTS", 1000)
+    fastcore.run_fast(trace, PREDICTORS[label](), options, kernel=kernel)
+    assert kernel.state() == _object_state(predictor)
+    if label == "tage-aging":
+        # Mispredicted updates tick toward aging: it ran many times.
+        assert result.mispredictions > 10 * predictor.aging_period
+
+
 def test_trained_state_matches_object_predictor():
     """Replay leaves the kernel tables exactly as object training does."""
     trace = get_workload("crc").trace(scale="tiny", hyperblocks=True)
@@ -136,6 +218,25 @@ def test_trained_state_matches_object_predictor():
             require=True,
         )
         assert kernel.table == list(predictor.counters.table), core
+
+
+@pytest.mark.parametrize("oname", ["delayed+sfp+pgu", "sfp-pht", "h64"])
+def test_tournament_of_other_components(oname):
+    """A tournament over components other than (local, table kernel)
+    replays through the scalar ABI, still exactly."""
+    trace = get_workload("grep").trace(scale="tiny", hyperblocks=True)
+
+    def factory():
+        return TournamentPredictor(
+            entries=256,
+            component_a=BimodalPredictor(entries=128),
+            component_b=GSelectPredictor(entries=512, history_bits=4),
+        )
+
+    report = fastcore.differential_check(
+        trace, factory, VARIANT_OPTIONS[oname], core="fast"
+    )
+    assert report.matches, report.summary()
 
 
 class TestSeededDivergence:
@@ -219,6 +320,8 @@ def random_trace(draw):
                 last_def.get(guard, -1) if guard else -1,
                 kind,
                 draw(st.booleans()),
+                # -1: no target, as for returns
+                draw(st.integers(min_value=-1, max_value=3)),
             )
         )
     return Trace.from_lists(
@@ -229,7 +332,7 @@ def random_trace(draw):
         b_guard_def=[b[4] for b in branches],
         b_kind=[int(b[5]) for b in branches],
         b_region=[b[6] for b in branches],
-        b_target=[0 for _ in branches],
+        b_target=[b[7] for b in branches],
         d_pc=[d[0] for d in pdefs],
         d_idx=[d[1] for d in pdefs],
         d_value=[d[2] for d in pdefs],
@@ -259,6 +362,108 @@ def test_random_trace_equivalence(data):
         _assert_identical(ref, got, f"random/{label} on core {core}")
 
 
+# -- BTB post-pass -------------------------------------------------------------
+
+#: E12's geometries plus a small direct-mapped BTB that thrashes.
+BTB_GEOMETRIES = ((64, 1), (256, 2), (1024, 2), (8, 1))
+
+BTB_OPTIONS = {
+    "plain": SimOptions(),
+    "sfp+pgu": SimOptions(sfp=SFPConfig(), pgu=PGUConfig()),
+    "sfp-true": SimOptions(sfp=SFPConfig(squash_known_true=True)),
+    "delayed+sfp+pgu": SimOptions(
+        delayed_update=True, sfp=SFPConfig(), pgu=PGUConfig()
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "geometry", BTB_GEOMETRIES, ids=lambda g: f"{g[0]}x{g[1]}"
+)
+@pytest.mark.parametrize("workload", ["crc", "grep", "parser"])
+def test_btb_post_pass(workload, geometry):
+    """Misfetch counts and per-branch flags match the driver's BTB.
+
+    grep and parser take returns (``target == -1``), whose lookups
+    touch the BTB with no insert after them."""
+    trace = get_workload(workload).trace(scale="tiny", hyperblocks=True)
+    btb = BTBConfig(sets=geometry[0], ways=geometry[1])
+    for oname, base in BTB_OPTIONS.items():
+        options = replace(base, btb=btb)
+        for core in FAST_CORES:
+            report = fastcore.differential_check(
+                trace, PREDICTORS["gshare"], options, core=core
+            )
+            assert report.matches, f"{oname}: {report.summary()}"
+        ref = simulate(trace, PREDICTORS["gshare"](), options)
+        got = simulate(trace, PREDICTORS["gshare"](), options, core="fast")
+        assert got.misfetches == ref.misfetches, oname
+
+
+def test_btb_traces_take_returns():
+    """The BTB differential covers taken branches without a target."""
+    for workload in ("grep", "parser"):
+        trace = get_workload(workload).trace(
+            scale="tiny", hyperblocks=True
+        )
+        assert (trace.b_taken & (trace.b_target < 0)).any(), workload
+
+
+def test_btb_state_follows_the_predictions():
+    """pc 0 has a target only on its first instance; later instances
+    (like returns) are looked up when predicted taken but never
+    inserted.  Such a lookup moves pc 0's line to MRU, which decides
+    what pc 2's insert evicts, so the BTB state depends on the
+    predictions, not on the trace alone."""
+    rounds = 6
+    pcs = [0, 1, 0, 2, 1] * rounds
+    targets = [5, 6, -1, 7, 6] * rounds
+    n = len(pcs)
+    trace = Trace.from_lists(
+        b_pc=pcs, b_idx=list(range(0, 2 * n, 2)), b_taken=[True] * n,
+        b_guard=[0] * n, b_guard_def=[-1] * n,
+        b_kind=[int(BranchKind.COND)] * n, b_region=[False] * n,
+        b_target=targets, d_pc=[], d_idx=[], d_value=[], d_pred=[],
+        meta=TraceMeta(workload="btb-lru", instructions=2 * n),
+    )
+    options = SimOptions(
+        btb=BTBConfig(sets=1, ways=2), record_flags=True
+    )
+    ref = simulate(trace, BimodalPredictor(entries=4), options)
+    for core in FAST_CORES:
+        got = simulate(trace, BimodalPredictor(entries=4), options,
+                       core=core)
+        assert got.misfetches == ref.misfetches, core
+        assert np.array_equal(got.flags.misfetch, ref.flags.misfetch)
+    # Had the target-less instances been mispredicted (no lookup), the
+    # same trace would misfetch a different number of times.
+    plan = fastcore.build_plan(trace, SimOptions())
+    mis = np.flatnonzero(~ref.flags.correct)
+    without_lookups = fastcore.btb_misfetches(
+        plan, np.union1d(mis, np.arange(2, n, 5)), trace.b_target,
+        options.btb,
+    )
+    assert without_lookups.shape[0] != ref.misfetches
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_random_trace_btb_equivalence(data):
+    trace = random_trace(data.draw)
+    options = replace(
+        data.draw(st.sampled_from(list(BTB_OPTIONS.values()))),
+        btb=BTBConfig(
+            sets=data.draw(st.sampled_from([1, 2, 4])),
+            ways=data.draw(st.integers(min_value=1, max_value=3)),
+        ),
+    )
+    for core in FAST_CORES:
+        report = fastcore.differential_check(
+            trace, PREDICTORS["gshare"], options, core=core
+        )
+        assert report.matches, report.summary()
+
+
 def test_empty_trace_all_cores():
     trace = Trace.from_lists(
         b_pc=[], b_idx=[], b_taken=[], b_guard=[], b_guard_def=[],
@@ -279,14 +484,20 @@ def test_empty_trace_all_cores():
 
 
 def test_unsupported_predictor_falls_back_to_object():
+    from repro import telemetry
     from repro.predictors import make_predictor
 
     trace = get_workload("crc").trace(scale="tiny", hyperblocks=True)
-    predictor = make_predictor("tournament", entries=512)
-    ref = simulate(trace, make_predictor("tournament", entries=512),
-                   SimOptions())
-    got = simulate(trace, predictor, SimOptions(), core="fast")
+    ref = simulate(trace, make_predictor("static"), SimOptions())
+    with telemetry.use_registry(telemetry.MetricsRegistry()) as registry:
+        got = simulate(
+            trace, make_predictor("static"), SimOptions(), core="fast"
+        )
     assert got.headline_metrics() == ref.headline_metrics()
+    counters = registry.snapshot()["counters"]
+    assert counters["sim.core.object"] == 1
+    assert counters["sim.fallback.predictor"] == 1
+    assert "sim.core.fast" not in counters
 
 
 def test_use_core_context_and_flags():
@@ -336,8 +547,26 @@ def test_fastcore_telemetry_counters_match_object():
         ) as registry:
             simulate(trace, PREDICTORS["gshare"](), options, core=core)
         snapshots[core] = registry.snapshot()["counters"]
+    assert snapshots["object"]["sim.core.object"] == 1
     for core in FAST_CORES:
-        got = dict(snapshots[core])
-        used = got.pop(f"sim.core.{core}")
-        assert used == 1
-        assert got == snapshots["object"], core
+        assert snapshots[core][f"sim.core.{core}"] == 1
+        assert _outcome_counters(snapshots[core]) == _outcome_counters(
+            snapshots["object"]
+        ), core
+
+
+def test_families_and_btb_experiments_run_without_fallback():
+    """E11-E13 points all replay on kernels under the fast core."""
+    from repro import telemetry
+    from repro.experiments import e11_families, e12_btb, e13_frontend
+
+    with telemetry.use_registry(telemetry.MetricsRegistry()) as registry:
+        with use_core("fast"):
+            e11_families.run(scale="tiny", workloads=["crc"], workers=1)
+            e12_btb.run(scale="tiny", workloads=["crc"])
+            e13_frontend.run(scale="tiny", workloads=["crc"])
+    counters = registry.snapshot()["counters"]
+    assert counters["sim.core.fast"] == counters["sim.runs"]
+    assert not [name for name in counters if name.startswith(
+        ("sim.fallback.", "sim.core.object")
+    )]

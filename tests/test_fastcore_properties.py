@@ -17,10 +17,22 @@ from repro.predictors import (
     GSelectPredictor,
     GSharePredictor,
     LocalPredictor,
+    PerceptronPredictor,
+    TagePredictor,
+    TournamentPredictor,
 )
 from repro.sim.fastcore import kernel_from_predictor
 
 pytestmark = pytest.mark.fastcore
+
+def _small_tage():
+    predictor = TagePredictor(
+        base_entries=64, table_entries=16, min_history=2,
+        max_history=40, tag_bits=5,
+    )
+    predictor.aging_period = 8  # reach the global aging path
+    return predictor
+
 
 FACTORIES = {
     "bimodal": lambda: BimodalPredictor(entries=64),
@@ -30,6 +42,20 @@ FACTORIES = {
     "local": lambda: LocalPredictor(
         entries=64, local_entries=8, history_bits=6
     ),
+    "tournament": lambda: TournamentPredictor(
+        entries=64,
+        component_a=LocalPredictor(64, local_entries=8, history_bits=6),
+        component_b=GSharePredictor(64),
+    ),
+    "tournament-gselect": lambda: TournamentPredictor(
+        entries=32,
+        component_a=BimodalPredictor(16),
+        component_b=GSelectPredictor(64, history_bits=3),
+    ),
+    "perceptron": lambda: PerceptronPredictor(
+        entries=8, history_bits=10, weight_bits=4
+    ),
+    "tage": _small_tage,
 }
 
 HISTORY_MASK = (1 << 32) - 1
@@ -103,3 +129,19 @@ def test_load_state_rejects_wrong_size():
     bad["table"] = bad["table"][:-1]
     with pytest.raises(ValueError):
         kernel.load_state(bad)
+
+
+@pytest.mark.parametrize("label, key", [
+    ("tournament", "chooser"),
+    ("perceptron", "weights"),
+    ("tage", "base"),
+    ("tage", "useful"),
+])
+def test_composite_load_state_rejects_wrong_size(label, key):
+    kernel = kernel_from_predictor(FACTORIES[label]())
+    before = kernel.state()
+    bad = dict(before)
+    bad[key] = bad[key][:-1]
+    with pytest.raises(ValueError):
+        kernel.load_state(bad)
+    assert kernel.state() == before  # a rejected load changes nothing

@@ -216,6 +216,20 @@ class TestRegistry:
         with pytest.raises(ValueError):
             make_predictor("oracle-9000")
 
+    def test_every_name_accepts_entries(self):
+        for name in available_predictors():
+            assert make_predictor(name, entries=256).name
+
+    def test_tage_entries_size_base_and_tagged_tables(self):
+        predictor = make_predictor("tage", entries=1024)
+        assert predictor.base_entries == 1024
+        assert predictor.table_entries == 256
+        assert make_predictor("tage", entries=128).table_entries == 64
+        # Explicit sizes win over the entries mapping.
+        assert make_predictor(
+            "tage", entries=1024, table_entries=128
+        ).table_entries == 128
+
 
 class TestMechanismConfigs:
     def test_sfp_describe(self):

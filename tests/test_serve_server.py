@@ -148,6 +148,32 @@ class TestSerialDaemonIdentity:
         assert body["request_key"] == cli_record.request_key()
 
 
+    @pytest.mark.parametrize("predictor", ["tage", "static", "perfect"])
+    def test_predictors_without_an_entries_knob(self, tmp_path, predictor):
+        """These names used to answer 500: the daemon passes
+        ``entries`` to every factory."""
+        with serve(tmp_path / "daemon-runs") as (_, client):
+            status, body = client.simulate(predictor=predictor, **TINY)
+        assert status == 200
+        cli_store = tmp_path / "cli-runs"
+        assert main([
+            "simulate", "crc", "--scale", "tiny", "--predictor",
+            predictor, "--record", "--store", str(cli_store),
+        ]) == 0
+        (cli_record,) = RunStore(cli_store).records()
+        assert body["run_id"] == cli_record.run_id
+        assert body["metrics"] == cli_record.metrics
+
+    def test_fast_daemon_runs_every_family_on_kernels(self, tmp_path):
+        with serve(tmp_path / "runs", core="fast") as (_, client):
+            for predictor in ("tournament", "perceptron", "tage"):
+                status, _ = client.simulate(predictor=predictor, **TINY)
+                assert status == 200
+            assert counter(client, "sim.core.fast") == 3
+            assert counter(client, "sim.fallback.predictor") == 0
+            assert counter(client, "sim.core.object") == 0
+
+
 class TestOtherOps:
     def test_profile_roundtrip_and_memoization(self, tmp_path):
         with serve(tmp_path / "runs") as (_, client):

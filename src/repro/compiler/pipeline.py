@@ -19,6 +19,7 @@ from repro.compiler.verify import verify_executable, verify_function
 from repro.engine.interpreter import run as run_program
 from repro.isa.program import Executable, Program
 from repro.lang import analyze, parse
+from repro.telemetry import span
 
 
 @dataclass
@@ -107,9 +108,11 @@ def collect_profile(source: str,
                     max_instructions: int = 200_000_000) -> ProfileCollector:
     """Run the profiling compile and return the collected profile."""
     profile = ProfileCollector()
-    compiled = compile_source(source, config_mod.PROFILING)
-    run_program(compiled.executable, profile=profile,
-                max_instructions=max_instructions)
+    with span("compile"):
+        compiled = compile_source(source, config_mod.PROFILING)
+    with span("profile-run"):
+        run_program(compiled.executable, profile=profile,
+                    max_instructions=max_instructions)
     return profile
 
 
@@ -121,4 +124,5 @@ def compile_with_profile(
     """Two-pass compile: profile with the simple lowering, then apply
     ``config`` (normally the hyperblock configuration) using that profile."""
     profile = collect_profile(source, max_instructions=max_instructions)
-    return compile_source(source, config, profile=profile)
+    with span("compile"):
+        return compile_source(source, config, profile=profile)

@@ -1,6 +1,7 @@
-"""Direct interpreter for linked predicated-ISA executables.
+"""Execution engine for linked predicated-ISA executables.
 
-The interpreter executes an :class:`repro.isa.Executable`, maintaining
+The engine runs an :class:`repro.isa.Executable` by translating it into
+block-level Python (:mod:`repro.engine.translate`), maintaining
 per-activation register frames (an IA-64-style register stack), flat word
 memory, and — when given a recorder — emitting the dynamic branch and
 predicate-define events that drive the trace-based predictor simulation.

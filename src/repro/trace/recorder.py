@@ -1,67 +1,100 @@
-"""In-memory trace recorder fed by the interpreter."""
+"""In-memory trace recorder fed by the engine."""
 
 from typing import Optional
 
+import numpy as np
+
+from repro.isa.opcodes import Opcode
 from repro.trace.container import Trace, TraceMeta
 
 
 class TraceRecorder:
-    """Accumulates branch and predicate-define events in plain lists.
+    """Accumulates branch and predicate-define events in two flat lists.
 
-    The interpreter calls :meth:`record_branch` and :meth:`record_pdef`
-    with positional ints/bools only (hot path); :meth:`finish` converts
-    the accumulated lists into a packed numpy :class:`Trace`.
+    Per event only the dynamic fields are kept: :attr:`branches` holds
+    ``pc, dynamic index, taken, guard-define index`` for each branch and
+    :attr:`pdefs` holds ``pc, dynamic index, value`` for each predicate
+    define.  The engine appends to them directly after :meth:`attach`;
+    :meth:`finish` then gathers each branch's guard, kind, region flag
+    and target, and each define's predicate register, from per-pc tables
+    of the attached executable.
+
+    Direct callers use :meth:`record_branch` and :meth:`record_pdef`,
+    which take every field; a recorder is fed one way or the other.
     """
 
     def __init__(self):
-        self.b_pc = []
-        self.b_idx = []
-        self.b_taken = []
-        self.b_guard = []
-        self.b_guard_def = []
-        self.b_kind = []
-        self.b_region = []
-        self.b_target = []
-        self.d_pc = []
-        self.d_idx = []
-        self.d_value = []
-        self.d_pred = []
+        self.branches = []
+        self.pdefs = []
+        self._executable = None
+        #: static fields passed to record_branch / record_pdef
+        self._branch_static = []
+        self._pdef_static = []
+
+    def attach(self, executable):
+        """Bind ``executable``'s per-pc tables; returns the
+        ``(branches, pdefs)`` lists the engine appends to."""
+        if self._executable not in (None, executable):
+            raise ValueError("recorder is attached to another executable")
+        self._executable = executable
+        return self.branches, self.pdefs
 
     def record_branch(
         self, pc, dyn_idx, taken, guard, guard_def_idx, kind, region_based,
         target,
     ) -> None:
-        """One dynamic branch event (called by the interpreter)."""
-        self.b_pc.append(pc)
-        self.b_idx.append(dyn_idx)
-        self.b_taken.append(taken)
-        self.b_guard.append(guard)
-        self.b_guard_def.append(guard_def_idx)
-        self.b_kind.append(kind)
-        self.b_region.append(region_based)
-        self.b_target.append(target)
+        """One dynamic branch event, every field given."""
+        self.branches += (pc, dyn_idx, taken, guard_def_idx)
+        self._branch_static += (guard, kind, region_based, target)
 
     def record_pdef(self, pc, dyn_idx, value, pred) -> None:
-        """One architectural predicate write (called by the interpreter)."""
-        self.d_pc.append(pc)
-        self.d_idx.append(dyn_idx)
-        self.d_value.append(value)
-        self.d_pred.append(pred)
+        """One architectural predicate write, every field given."""
+        self.pdefs += (pc, dyn_idx, value)
+        self._pdef_static.append(pred)
 
     def finish(self, meta: Optional[TraceMeta] = None) -> Trace:
         """Pack the accumulated events into a :class:`Trace`."""
+        b_pc, b_idx, b_taken, b_guard_def = _columns(self.branches, 4)
+        d_pc, d_idx, d_value = _columns(self.pdefs, 3)
+        if self._executable is None:
+            b_guard, b_kind, b_region, b_target = _columns(
+                self._branch_static, 4
+            )
+            d_pred = np.asarray(self._pdef_static, dtype=np.int64)
+        elif self._branch_static or self._pdef_static:
+            raise ValueError(
+                "recorder was fed by both the engine and direct calls"
+            )
+        else:
+            code = self._executable.code
+            b_guard = np.array([i.qp for i in code], dtype=np.int16)[b_pc]
+            b_kind = np.array([i.kind for i in code], dtype=np.int8)[b_pc]
+            b_region = np.array(
+                [i.region_based for i in code], dtype=bool
+            )[b_pc]
+            b_target = np.array(
+                [-1 if i.op == Opcode.RET or not isinstance(i.target, int)
+                 else i.target for i in code],
+                dtype=np.int64,
+            )[b_pc]
+            d_pred = np.array([i.pd1 for i in code], dtype=np.int16)[d_pc]
         return Trace.from_lists(
-            b_pc=self.b_pc,
-            b_idx=self.b_idx,
-            b_taken=self.b_taken,
-            b_guard=self.b_guard,
-            b_guard_def=self.b_guard_def,
-            b_kind=self.b_kind,
-            b_region=self.b_region,
-            b_target=self.b_target,
-            d_pc=self.d_pc,
-            d_idx=self.d_idx,
-            d_value=self.d_value,
-            d_pred=self.d_pred,
+            b_pc=b_pc,
+            b_idx=b_idx,
+            b_taken=b_taken,
+            b_guard=b_guard,
+            b_guard_def=b_guard_def,
+            b_kind=b_kind,
+            b_region=b_region,
+            b_target=b_target,
+            d_pc=d_pc,
+            d_idx=d_idx,
+            d_value=d_value,
+            d_pred=d_pred,
             meta=meta or TraceMeta(),
         )
+
+
+def _columns(flat, width):
+    """Split a flat event list into ``width`` int64 columns."""
+    return [np.array(flat[k::width], dtype=np.int64) for k in range(width)]

@@ -61,7 +61,8 @@ class Workload:
         source = self.source(scale)
         if config.hyperblocks:
             return compile_with_profile(source, config)
-        return compile_source(source, config)
+        with span("compile"):
+            return compile_source(source, config)
 
     def run(self, scale: str = "small",
             config: Optional[CompileConfig] = None) -> WorkloadRun:
@@ -103,7 +104,8 @@ class Workload:
         with span("trace-build", workload=self.name, scale=scale):
             compiled = self.compile(scale, config)
             recorder = TraceRecorder()
-            result = run_program(compiled.executable, recorder=recorder)
+            with span("traced-run"):
+                result = run_program(compiled.executable, recorder=recorder)
         self._check_expected(scale, result.return_value)
         meta = TraceMeta(
             workload=self.name,

@@ -21,3 +21,14 @@ def _pin_default_sim_core():
     yield
     if saved is not None:
         os.environ["REPRO_SIM_CORE"] = saved
+
+
+def pytest_collection_modifyitems(config, items):
+    """Skip ``engine_small`` tests (minutes of reference-loop runs)
+    unless the ``-m`` expression names the marker."""
+    if "engine_small" in (config.getoption("markexpr") or ""):
+        return
+    skip = pytest.mark.skip(reason="select with -m engine_small")
+    for item in items:
+        if "engine_small" in item.keywords:
+            item.add_marker(skip)

@@ -189,6 +189,24 @@ class TestSpans:
         assert counters["span.outer/inner.calls"] == 1
         assert registry.histogram("span.outer.seconds").count == 1
 
+    def test_trace_build_splits_into_phases(self, tmp_path):
+        from repro.trace import TraceCache
+
+        registry = MetricsRegistry()
+        sink = MemorySink()
+        with use_registry(registry), use_sink(sink):
+            get_workload("crc").trace(scale="tiny", hyperblocks=True,
+                                      cache=TraceCache(tmp_path))
+        paths = [e["path"] for e in sink.events]
+        # profiling compile, profiling run, hyperblock compile, traced run
+        assert paths[:5] == [
+            "trace-build/compile",
+            "trace-build/profile-run",
+            "trace-build/compile",
+            "trace-build/traced-run",
+            "trace-build",
+        ]
+
     def test_disabled_records_nothing(self):
         registry = MetricsRegistry()
         sink = MemorySink()

@@ -76,6 +76,88 @@ class TestPersistence:
         np.testing.assert_array_equal(loaded.d_idx, trace.d_idx)
 
 
+TRACE_FIELDS = (
+    "b_pc", "b_idx", "b_taken", "b_guard", "b_guard_def", "b_kind",
+    "b_region", "b_target", "d_pc", "d_idx", "d_value", "d_pred",
+)
+
+
+def assert_same_trace(a, b):
+    for name in TRACE_FIELDS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        np.testing.assert_array_equal(x, y, err_msg=name)
+    assert a.meta.workload == b.meta.workload
+    assert a.meta.scale == b.meta.scale
+    assert a.meta.compile_config == b.meta.compile_config
+    assert a.meta.instructions == b.meta.instructions
+    assert a.meta.return_value == b.meta.return_value
+
+
+def savez_level6(trace, path):
+    """A trace file as earlier versions wrote it."""
+    np.savez_compressed(
+        path,
+        **{name: getattr(trace, name) for name in TRACE_FIELDS},
+        meta_workload=np.array(trace.meta.workload),
+        meta_scale=np.array(trace.meta.scale),
+        meta_config=np.array(trace.meta.compile_config),
+        meta_instructions=np.array(trace.meta.instructions),
+        meta_return=np.array(trace.meta.return_value),
+    )
+
+
+@pytest.fixture(scope="module")
+def workload_trace():
+    from repro.workloads import get_workload
+
+    return get_workload("crc").trace(scale="tiny", use_cache=False)
+
+
+class TestTraceFiles:
+    def test_level1_roundtrip(self, tmp_path, workload_trace):
+        path = tmp_path / "t.npz"
+        workload_trace.save(path)
+        assert_same_trace(Trace.load(path), workload_trace)
+
+    def test_level1_members_are_deflated_npy(self, tmp_path):
+        import zipfile
+
+        path = tmp_path / "t.npz"
+        sample_trace().save(path)
+        with zipfile.ZipFile(path) as archive:
+            infos = archive.infolist()
+        assert {i.filename for i in infos} >= {
+            f"{name}.npy" for name in TRACE_FIELDS
+        }
+        assert {i.compress_type for i in infos} == {zipfile.ZIP_DEFLATED}
+        with np.load(path) as data:  # plain numpy reads it too
+            np.testing.assert_array_equal(data["b_pc"], [10, 20, 30])
+
+    def test_savez_compressed_file_still_loads(self, tmp_path,
+                                               workload_trace):
+        path = tmp_path / "old.npz"
+        savez_level6(workload_trace, path)
+        assert_same_trace(Trace.load(path), workload_trace)
+
+    def test_level1_size_within_bound(self, tmp_path, workload_trace):
+        old, new = tmp_path / "old.npz", tmp_path / "new.npz"
+        savez_level6(workload_trace, old)
+        workload_trace.save(new)
+        assert new.stat().st_size <= 1.2 * old.stat().st_size
+
+    def test_truncated_level1_file_is_a_miss(self, tmp_path,
+                                             workload_trace):
+        cache = TraceCache(tmp_path)
+        cache.put("key", workload_trace)
+        path = cache.key_path("key")
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        assert cache.get("key") is None
+        assert not path.exists()
+        assert cache.misses == 1
+
+
 class TestCache:
     def test_miss_then_hit(self, tmp_path):
         cache = TraceCache(tmp_path)

@@ -1,6 +1,8 @@
 """Packed trace containers (numpy structure-of-arrays)."""
 
 import enum
+import io
+import re
 import zipfile
 from dataclasses import dataclass, field
 from typing import Dict
@@ -214,27 +216,60 @@ class Trace:
 
     @classmethod
     def load(cls, path) -> "Trace":
-        """Load a trace previously stored with :meth:`save`."""
-        with np.load(path) as data:
-            meta = TraceMeta(
-                workload=str(data["meta_workload"]),
-                scale=str(data["meta_scale"]),
-                compile_config=str(data["meta_config"]),
-                instructions=int(data["meta_instructions"]),
-                return_value=int(data["meta_return"]),
-            )
-            return cls(
-                b_pc=data["b_pc"],
-                b_idx=data["b_idx"],
-                b_taken=data["b_taken"],
-                b_guard=data["b_guard"],
-                b_guard_def=data["b_guard_def"],
-                b_kind=data["b_kind"],
-                b_region=data["b_region"],
-                b_target=data["b_target"],
-                d_pc=data["d_pc"],
-                d_idx=data["d_idx"],
-                d_value=data["d_value"],
-                d_pred=data["d_pred"],
-                meta=meta,
-            )
+        """Load a trace previously stored with :meth:`save` (or with
+        :func:`numpy.savez_compressed`, as earlier versions did)."""
+        with zipfile.ZipFile(path) as archive:
+            data = {
+                name[:-len(".npy")]: _read_npy(archive.read(name))
+                for name in archive.namelist()
+            }
+        meta = TraceMeta(
+            workload=str(data["meta_workload"]),
+            scale=str(data["meta_scale"]),
+            compile_config=str(data["meta_config"]),
+            instructions=int(data["meta_instructions"]),
+            return_value=int(data["meta_return"]),
+        )
+        return cls(
+            b_pc=data["b_pc"],
+            b_idx=data["b_idx"],
+            b_taken=data["b_taken"],
+            b_guard=data["b_guard"],
+            b_guard_def=data["b_guard_def"],
+            b_kind=data["b_kind"],
+            b_region=data["b_region"],
+            b_target=data["b_target"],
+            d_pc=data["d_pc"],
+            d_idx=data["d_idx"],
+            d_value=data["d_value"],
+            d_pred=data["d_pred"],
+            meta=meta,
+        )
+
+
+#: The version-1.0 ``.npy`` header numpy writes for a C-ordered array of
+#: at most one dimension, which is every member of a trace file.
+_NPY_HEADER = re.compile(
+    rb"\{'descr': '([<>|=][biufU]\d+)', 'fortran_order': False, "
+    rb"'shape': \((\d*),?\), \} *\n"
+)
+
+
+def _read_npy(raw: bytes) -> np.ndarray:
+    """Decode one ``.npy`` member.
+
+    :func:`numpy.load` parses every header with :func:`ast.literal_eval`,
+    a fifth of a trace load; the headers a trace file holds are matched
+    here instead, and anything else goes through numpy's reader.
+    """
+    if raw[:8] == b"\x93NUMPY\x01\x00":
+        end = 10 + int.from_bytes(raw[8:10], "little")
+        match = _NPY_HEADER.fullmatch(raw, 10, end)
+        if match:
+            dtype = np.dtype(match.group(1).decode())
+            shape = (int(match.group(2)),) if match.group(2) else ()
+            count = shape[0] if shape else 1
+            return np.frombuffer(
+                raw, dtype=dtype, count=count, offset=end
+            ).reshape(shape).copy()
+    return np.lib.format.read_array(io.BytesIO(raw), allow_pickle=False)

@@ -140,6 +140,34 @@ class TestTraceFiles:
         savez_level6(workload_trace, path)
         assert_same_trace(Trace.load(path), workload_trace)
 
+    def test_members_decode_like_numpy(self, tmp_path, workload_trace):
+        import io
+        import zipfile
+
+        from repro.trace.container import _read_npy
+
+        for save in (savez_level6, Trace.save):
+            path = tmp_path / "t.npz"
+            save(workload_trace, path)
+            with np.load(path) as expected, zipfile.ZipFile(path) as archive:
+                for name in expected.files:
+                    got = _read_npy(archive.read(f"{name}.npy"))
+                    want = expected[name]
+                    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                    np.testing.assert_array_equal(got, want)
+                    assert got.flags.writeable
+        # A header outside the matched form goes through numpy's reader.
+        for array in (np.arange(6).reshape(2, 3), np.array([None, 1])):
+            buffer = io.BytesIO()
+            np.lib.format.write_array(buffer, array)
+            if array.dtype == object:
+                with pytest.raises(ValueError):
+                    _read_npy(buffer.getvalue())
+            else:
+                np.testing.assert_array_equal(
+                    _read_npy(buffer.getvalue()), array
+                )
+
     def test_level1_size_within_bound(self, tmp_path, workload_trace):
         old, new = tmp_path / "old.npz", tmp_path / "new.npz"
         savez_level6(workload_trace, old)

@@ -3,31 +3,38 @@
 The serial dependency in table replay is per *entry*, not per branch:
 events touching different counters never interact.  So the backend
 groups the event stream by table index and resolves each entry's
-counter walk with a segmented scan instead of a Python loop:
+counter walk with a scan instead of a Python loop:
 
-1. Sort events by (table index, stream position) — a composite integer
-   key on one ``np.sort`` reproduces a stable grouping at a fraction of
-   ``argsort(kind="stable")``'s cost.
-2. Represent each event's effect on its counter as a *clamped add*
+1. Group events by table index and split each counter's events into
+   runs of one direction and one read/transition flag pair — the same
+   grouping and run split the scalar replay uses
+   (:func:`~repro.sim.fastcore.replay.split_runs`).
+2. Represent each run's effect on its counter as a *clamped add*
    ``f(x) = clip(x + a, lo, hi)``.  The taken/not-taken transitions of a
    2-bit saturating counter generate only 18 distinct functions under
-   composition (including the identity, which read-only events use), so
-   each function is a small int and composition is one 18x18 lookup.
-3. A Hillis–Steele inclusive scan over function ids, segmented at index
-   boundaries, yields each event's accumulated prefix function; applied
-   exclusively to the entry's starting counter value it gives the exact
-   state every read observed.  Constant functions absorb under
-   composition (``const . g = const``), so saturated prefixes drop out
-   of the scan's active set — strongly biased entries finish in a pass
-   or two.
-4. Predictions, mispredict positions and the final table state all fall
-   out vectorised.
+   composition (including the identity, which read-only runs use), so
+   each function is a small int and composition is one table lookup.
+3. Each counter's first run is replaced by the constant function of the
+   state it leaves (its start value read from the table, then the run).
+   Constant functions absorb under composition (``const . g =
+   const``), so a Hillis–Steele inclusive scan over the whole run array
+   needs no segment boundaries: a prefix stops at its counter's first
+   run at the latest, and every finished prefix is the constant state
+   its run leaves.  Every run of three or more trained events is a
+   constant too, so only chains of short runs stay in the scan's active
+   set for more than a pass.
+4. Only a run's first two events can mispredict when it trains (a
+   read-only run mispredicts throughout or not at all), so mispredict
+   positions and the final state of every touched counter fall out
+   vectorised (:func:`~repro.sim.fastcore.replay.settle_runs`).
 
 Bit-identical to the scalar loops by construction; the differential
 suite checks it against the object core anyway.
 """
 
 import numpy as np
+
+from repro.sim.fastcore.replay import settle_runs, split_runs, start_values
 
 # -- the function monoid of a 2-bit saturating counter ------------------------
 
@@ -36,60 +43,60 @@ def _closure():
     """Enumerate compositions of {identity, taken, not-taken}.
 
     Functions are represented by their image over the domain (0, 1, 2,
-    3).  Returns (COMP, IMG, CONST, ident, taken_id, not_taken_id) where
-    ``COMP[g, f]`` is "apply f, then g".
+    3).  The four constant functions come first, so a function id below
+    4 is the constant state it yields.  Returns (funcs, index): the
+    images, and image -> function id.
     """
     identity = (0, 1, 2, 3)
     taken = (1, 2, 3, 3)
     not_taken = (0, 0, 1, 2)
     funcs = [identity, taken, not_taken]
-    index = {f: i for i, f in enumerate(funcs)}
+    seen = set(funcs)
     frontier = list(funcs)
     while frontier:
         new = []
         for g in frontier:
             for f in list(funcs):
                 composed = tuple(g[f[x]] for x in range(4))
-                if composed not in index:
-                    index[composed] = len(funcs)
+                if composed not in seen:
+                    seen.add(composed)
                     funcs.append(composed)
                     new.append(composed)
         frontier = new
-    count = len(funcs)
-    comp = np.zeros((count, count), dtype=np.int8)
+    funcs.sort(key=lambda f: (len(set(f)) > 1, f))
+    assert funcs[:4] == [(v,) * 4 for v in range(4)]
+    return funcs, {f: i for i, f in enumerate(funcs)}
+
+
+def _tables():
+    funcs, index = _closure()
+    # comp[(g << 5) | f]: "apply f, then g".
+    comp = np.zeros(len(funcs) << 5, dtype=np.uint8)
     for gi, g in enumerate(funcs):
         for fi, f in enumerate(funcs):
-            comp[gi, fi] = index[tuple(g[f[x]] for x in range(4))]
-    img = np.array(funcs, dtype=np.uint8)
-    const = np.array(
-        [len(set(f)) == 1 for f in funcs], dtype=bool
-    )
-    return comp, img, const, index[identity], index[taken], index[
-        not_taken
-    ]
+            comp[(gi << 5) | fi] = index[tuple(g[f[x]] for x in range(4))]
+    # settle[(f << 2) | v]: f applied to v, which is also the id of that
+    # constant function.
+    settle = np.array([f[v] for f in funcs for v in range(4)],
+                      dtype=np.uint8)
+    # run[(symbol << 2) | k]: a run of k (1..3, 3 saturates) events with
+    # symbol ``taken | read << 1 | trans << 2``; untrained runs are the
+    # identity.
+    run = np.zeros(32, dtype=np.uint8)
+    for symbol in range(8):
+        for k in range(1, 4):
+            image = tuple(range(4))
+            if symbol & 4:
+                for _ in range(k):
+                    image = tuple(
+                        min(x + 1, 3) if symbol & 1 else max(x - 1, 0)
+                        for x in image
+                    )
+            run[(symbol << 2) | k] = index[image]
+    return comp, settle, run
 
 
-_COMP, _IMG, _CONST, _IDENT, _TAKEN, _NOT_TAKEN = _closure()
-
-
-def _stable_group(idx: np.ndarray):
-    """Events regrouped by table index, original order within groups.
-
-    Returns (order, sorted_idx).  Uses one composite-key ``np.sort``
-    when the key fits 63 bits, else a stable argsort.
-    """
-    count = idx.shape[0]
-    pos_bits = max(1, int(count - 1).bit_length())
-    max_idx = int(idx.max())
-    if max_idx.bit_length() + pos_bits < 63:
-        key = (idx.astype(np.int64) << pos_bits) | np.arange(
-            count, dtype=np.int64
-        )
-        key = np.sort(key)
-        order = key & ((1 << pos_bits) - 1)
-        return order, key >> pos_bits
-    order = np.argsort(idx, kind="stable")
-    return order, idx[order]
+_COMP, _SETTLE, _RUN = _tables()
 
 
 def batch_supported(kernel) -> bool:
@@ -99,84 +106,56 @@ def batch_supported(kernel) -> bool:
 def batch_replay(kernel, plan) -> np.ndarray:
     """Vectorised replay; mispredicted branch indices, ascending.
 
-    Mutates ``kernel.table`` to the exact post-replay state the scalar
-    loops would leave (every entry's full composition applied to its
-    starting value), so warm-start and pickle behaviour match.
+    Updates every counter the stream touches in ``kernel.table`` to the
+    exact post-replay state the scalar loops would leave, so warm-start
+    and pickle behaviour match.
     """
     ev_branch = plan.ev_branch
-    count = int(ev_branch.shape[0])
-    if count == 0:
+    if ev_branch.shape[0] == 0:
         return np.zeros(0, dtype=np.int64)
-    idx = kernel.batch_index(plan.pc[ev_branch], plan.ghr[ev_branch])
-    taken = plan.taken[ev_branch]
-
-    order, sorted_idx = _stable_group(idx)
-    taken_sorted = taken[order] != 0
-    if plan.uniform:
-        funcs = np.where(taken_sorted, _TAKEN, _NOT_TAKEN).astype(
-            np.int8
-        )
-    else:
-        funcs = np.where(
-            plan.ev_trans[order] != 0,
-            np.where(taken_sorted, _TAKEN, _NOT_TAKEN),
-            _IDENT,
-        ).astype(np.int8)
-
-    seg_start = np.empty(count, dtype=bool)
-    seg_start[0] = True
-    np.not_equal(sorted_idx[1:], sorted_idx[:-1], out=seg_start[1:])
-    positions = np.arange(count, dtype=np.int64)
-    run_start = np.maximum.accumulate(
-        np.where(seg_start, positions, 0)
+    idx = kernel.batch_index(
+        plan.per_event(plan.pc), plan.per_event(plan.ghr)
     )
-    pos_in_seg = positions - run_start
+    taken = plan.per_event(plan.taken)
+    table = kernel.table
+    if plan.uniform:
+        runs = split_runs(idx, taken, len(table))
+        symbol = runs.symbol | np.uint8(6)
+    else:
+        runs = split_runs(
+            idx, taken | (plan.ev_read << 1) | (plan.ev_trans << 2),
+            len(table), symbol_bits=3,
+        )
+        symbol = runs.symbol
+    start_value = start_values(table, runs)
+    flat = _RUN[(symbol << np.uint8(2)) | np.minimum(
+        runs.length, 3
+    ).astype(np.uint8)]
+    first = runs.first
+    flat[first] = _SETTLE[(flat[first] << np.uint8(2)) | start_value]
 
-    # Inclusive segmented scan over function ids.  The first passes run
-    # contiguously over the whole array (almost every prefix is still
-    # live, and slicing beats gathers); later passes keep an explicit
-    # active set, dropping constant prefixes — composing anything
-    # *before* a constant cannot change it, and composing *with* one
-    # makes the reader constant too, so pruned values stay exact and
-    # strongly biased entries (most of a real table) finish early.
-    flat = funcs
-    comp = _COMP
-    const = _CONST
+    # Inclusive scan: after the pass with step s, prefix r composes runs
+    # r - 2s + 1 .. r.  A constant prefix (id below 4) is final, so only
+    # the others stay active; each still lies inside its counter, and so
+    # does the prefix it composes with next (or that one is constant
+    # already).  At the end every id is the state its run leaves.
+    active = np.flatnonzero(flat > 3)
     step = 1
-    while step <= 2 and step < count:
-        composed = comp[flat[step:], flat[:-step]]
-        np.copyto(flat[step:], composed, where=pos_in_seg[step:] >= step)
-        step <<= 1
-    active = np.flatnonzero((pos_in_seg >= step) & ~const[flat])
     while active.size:
-        flat[active] = comp[flat[active], flat[active - step]]
+        key = flat[active].astype(np.uint16)
+        key <<= 5
+        key |= flat[active - step]
+        composed = _COMP[key]
+        flat[active] = composed
         step <<= 1
-        active = active[
-            (pos_in_seg[active] >= step) & ~const[flat[active]]
-        ]
+        active = active[composed > 3]
+    ends = flat
 
-    # Exclusive shift within segments: the state a read observes is the
-    # prefix *before* it, applied to the entry's starting value.
-    excl = np.empty(count, dtype=np.int8)
-    excl[0] = _IDENT
-    excl[1:] = np.where(seg_start[1:], _IDENT, flat[:-1])
-
-    table = np.asarray(kernel.table, dtype=np.uint8)
-    start_value = table[sorted_idx]
-    state_before = _IMG[excl, start_value]
-
-    mispredicted = (state_before >= 2) != taken_sorted
-    if not plan.uniform:
-        mispredicted &= plan.ev_read[order] != 0
-
-    # Final table state: the last event of each segment carries the
-    # entry's full composition.
-    seg_end = np.empty(count, dtype=bool)
-    seg_end[-1] = True
-    seg_end[:-1] = seg_start[1:]
-    table[sorted_idx[seg_end]] = _IMG[
-        flat[seg_end], start_value[seg_end]
-    ]
-    kernel.table = table.tolist()
-
-    return np.sort(ev_branch[order[mispredicted]])
+    if plan.uniform:
+        mis = settle_runs(table, runs, ends, start_value, runs.symbol)
+    else:
+        mis = settle_runs(
+            table, runs, ends, start_value, symbol & np.uint8(1),
+            reads=(symbol & 2) != 0, trains=(symbol & 4) != 0,
+        )
+    return ev_branch[mis]

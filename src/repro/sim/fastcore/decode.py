@@ -30,9 +30,6 @@ import numpy as np
 from repro.sim.driver import SimOptions
 from repro.trace.container import Trace
 
-_U64 = np.uint64
-_FULL64 = _U64(0xFFFFFFFFFFFFFFFF)
-
 
 @dataclass
 class BranchTrace:
@@ -102,6 +99,13 @@ class ReplayPlan:
     uniform: bool  #: every event is read+trans (the common tight case)
     applied_updates: int  #: delayed updates that actually applied
 
+    def per_event(self, values: np.ndarray) -> np.ndarray:
+        """Per-branch ``values`` at every event (``values[ev_branch]``);
+        ``values`` itself when the events are the branches in order."""
+        if self.uniform and self.ev_branch.shape[0] == self.n:
+            return values
+        return values[self.ev_branch]
+
 
 def _squash_mask(bt: BranchTrace, options: SimOptions):
     """Squash mask (:class:`~repro.pipeline.availability.AvailabilityModel`
@@ -141,18 +145,17 @@ def _pgu_defines(bt: BranchTrace, options: SimOptions):
 
 def _history_values(bt: BranchTrace, options: SimOptions,
                     squash: Optional[np.ndarray]) -> np.ndarray:
-    """Per-branch predict-time history, via one packed bit stream.
+    """Per-branch predict-time history, via one bit stream.
 
     The stream interleaves predicate-define bits (at their availability
     points) with branch-outcome bits (squashed branches emit only when
     ``sfp.update_history``), exactly as the driver shifts them.  Each
-    branch's value is then a 64-bit window extracted from the *reversed*
-    packed stream — the register's LSB is the most recent bit — masked
-    to ``history_bits``.
+    branch's value is then the ``history_bits``-wide window of the
+    stream before its read position — the register's LSB is the most
+    recent bit (:func:`bit_windows`).
     """
     n = bt.num_branches
     length = options.history_bits
-    lmask = _FULL64 if length >= 64 else _U64((1 << length) - 1)
     if n == 0:
         return np.zeros(0, dtype=np.uint64)
 
@@ -185,25 +188,37 @@ def _history_values(bt: BranchTrace, options: SimOptions,
     emit_idx = np.flatnonzero(emits)
     bits[defs_le[emit_idx] + emits_excl[emit_idx]] = bt.taken[emit_idx]
 
-    # h[i] = sum_t stream[r_i - 1 - t] << t  (newest bit at the LSB).
-    # Reversing the stream turns every window into a contiguous
-    # little-endian 64-bit load: h[i] = rev[m - r_i : m - r_i + 64].
-    read_pos = defs_le + emits_excl[:n]
-    packed = np.packbits(bits[::-1], bitorder="little")
-    words = (m >> 6) + 2
-    padded = np.zeros(words * 8, dtype=np.uint8)
-    padded[: packed.shape[0]] = packed
-    table = padded.view(np.uint64)
+    return bit_windows(
+        bits, defs_le + emits_excl[:n], min(length, 64)
+    ).astype(np.uint64)
 
-    start = (m - read_pos).astype(np.uint64)
-    word = (start >> _U64(6)).astype(np.int64)
-    shift = start & _U64(63)
-    low = table[word] >> shift
-    high_shift = (_U64(64) - shift) & _U64(63)
-    high = np.where(
-        shift == 0, _U64(0), table[word + 1] << high_shift
+
+def bit_windows(bits: np.ndarray, read_pos: np.ndarray,
+                width: int) -> np.ndarray:
+    """The ``width`` (at most 64) stream bits before each read position.
+
+    ``bits`` is a 0/1 ``uint8`` stream; window ``i`` holds
+    ``sum_t bits[read_pos[i] - 1 - t] << t`` for ``t < width`` (the
+    newest bit at the LSB), with zeros for positions before the
+    stream's start.  Windows of every position are built by doubling —
+    a window of ``2s`` bits is the ``s``-bit window at ``p`` and the
+    one at ``p - s`` shifted up by ``s`` — in the narrowest unsigned
+    dtype that holds ``width`` bits, which is also the result's dtype.
+    """
+    dtype = next(
+        t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+        if width <= np.iinfo(t).bits
     )
-    return (low | high) & lmask
+    windows = np.zeros(int(bits.shape[0]) + 1, dtype=dtype)
+    windows[1:] = bits
+    span = 1
+    while span < width:
+        windows[span:] |= windows[:-span] << dtype(span)
+        span <<= 1
+    out = windows[read_pos]
+    if width < np.iinfo(dtype).bits:
+        out &= dtype((1 << width) - 1)
+    return out
 
 
 def build_plan(trace, options: SimOptions) -> ReplayPlan:

@@ -15,9 +15,11 @@ its scalar ABI works entirely on integers:
 
 Table-indexed kernels additionally expose ``batch_index(pc, ghr)``
 (vectorised index computation over numpy arrays), which is what both the
-specialised fast replay loops and the numpy backend consume.  The
-composite kernels (tournament, perceptron, TAGE) expose their own
-vectorised per-event indices for their replay loops.  The squash
+run-grouped fast replay and the numpy backend consume.  The local
+kernel computes its pattern indices from the outcome stream instead
+(:meth:`LocalKernel.event_indices`), and the composite kernels
+(tournament, perceptron, TAGE) expose their own vectorised per-event
+indices for their replay loops.  The squash
 false-path filter and predicate global update are *not* kernels: they
 act on the history stream and the squash mask, which the pre-decode pass
 in :mod:`repro.sim.fastcore.decode` materialises before any kernel runs.
@@ -39,10 +41,49 @@ from repro.predictors.perceptron import PerceptronPredictor
 from repro.predictors.tage import TagePredictor, _fold
 from repro.predictors.tournament import TournamentPredictor
 from repro.predictors.twolevel import GAgPredictor, LocalPredictor
+from repro.sim.fastcore.decode import bit_windows
 
 
 class KernelError(ValueError):
     """No flat kernel models the given predictor."""
+
+
+def group_events(values: np.ndarray, mask: int, symbol: np.ndarray,
+                 symbol_bits: int = 1):
+    """Stable grouping of events by ``values`` (all within ``mask``).
+
+    Returns ``(order, grouped values, grouped symbols)``: the event
+    positions sorted by value, stream order within a value, and the
+    values and per-event ``uint8`` symbols (``symbol_bits`` wide) in that
+    order.  When value, position and symbol pack into 32 bits, one
+    ``sort`` of the packed key does it all (numpy sorts 32-bit keys
+    with SIMD); otherwise a stable argsort of the values — a radix sort
+    on a ``uint16`` key up to 65,536 values — and two gathers.
+    """
+    count = int(values.shape[0])
+    pos_bits = max(1, (count - 1).bit_length())
+    if mask.bit_length() + pos_bits + symbol_bits <= 32:
+        key = values.astype(np.uint32)
+        key <<= np.uint32(pos_bits)
+        key |= np.arange(count, dtype=np.uint32)
+        key <<= np.uint32(symbol_bits)
+        key |= symbol
+        key.sort()
+        grouped_symbol = (key & np.uint32((1 << symbol_bits) - 1)).astype(
+            np.uint8
+        )
+        key >>= np.uint32(symbol_bits)
+        order = (key & np.uint32((1 << pos_bits) - 1)).astype(np.intp)
+        key >>= np.uint32(pos_bits)
+        return order, key, grouped_symbol
+    key = values.astype(np.uint16) if mask >> 16 == 0 else values
+    order = np.argsort(key, kind="stable")
+    return order, key[order], symbol[order]
+
+
+def _low_bits(ghr: np.ndarray, mask: int) -> np.ndarray:
+    """``ghr & mask`` (``mask < 2**63``) as an ``int64`` array."""
+    return (ghr & np.uint64(mask)).view(np.int64)
 
 
 class TableKernel:
@@ -102,9 +143,7 @@ class BimodalKernel(TableKernel):
         return pc & self.mask
 
     def batch_index(self, pc, ghr):
-        return (pc.astype(np.uint64) & np.uint64(self.mask)).astype(
-            np.int64
-        )
+        return pc & self.mask
 
 
 class GShareKernel(TableKernel):
@@ -116,10 +155,10 @@ class GShareKernel(TableKernel):
         return (pc ^ (ghist & self.history_mask)) & self.mask
 
     def batch_index(self, pc, ghr):
-        hist = ghr & np.uint64(self.history_mask)
-        return (
-            (pc.astype(np.uint64) ^ hist) & np.uint64(self.mask)
-        ).astype(np.int64)
+        idx = _low_bits(ghr, self.history_mask & self.mask)
+        idx ^= pc
+        idx &= self.mask
+        return idx
 
 
 class GSelectKernel(TableKernel):
@@ -136,11 +175,11 @@ class GSelectKernel(TableKernel):
         ) & self.mask
 
     def batch_index(self, pc, ghr):
-        upper = (pc.astype(np.uint64) & np.uint64(self.pc_mask)) << (
-            np.uint64(self.history_bits)
-        )
-        lower = ghr & np.uint64(self.history_mask)
-        return ((upper | lower) & np.uint64(self.mask)).astype(np.int64)
+        idx = pc & self.pc_mask
+        idx <<= self.history_bits
+        idx |= _low_bits(ghr, self.history_mask & self.mask)
+        idx &= self.mask
+        return idx
 
 
 class GAgKernel(TableKernel):
@@ -151,16 +190,18 @@ class GAgKernel(TableKernel):
         return ghist & self.mask
 
     def batch_index(self, pc, ghr):
-        return (ghr & np.uint64(self.mask)).astype(np.int64)
+        return _low_bits(ghr, self.mask)
 
 
 class LocalKernel:
     """PAg-style local kernel: per-PC history feeding a pattern table.
 
-    The pattern index depends on private history mutated at train time,
-    so indices cannot be precomputed from the global history stream —
-    the kernel replays through its own scalar loop and opts out of the
-    numpy backend.
+    The pattern index reads private history that shifts in the actual
+    outcome at every train event.  That history never depends on a
+    prediction, so :meth:`event_indices` computes every event's index
+    with numpy up front, and replay then walks the pattern table like
+    any other table kernel.  The kernel still opts out of the numpy
+    backend, whose ``batch_index`` contract takes no outcomes.
     """
 
     batchable = False
@@ -171,6 +212,7 @@ class LocalKernel:
         self.mask = entries - 1
         self.histories = [0] * local_entries
         self.local_mask = local_entries - 1
+        self.history_bits = history_bits
         self.history_mask = (1 << history_bits) - 1
         self.name = f"local-{entries}/l{local_entries}x{history_bits}"
 
@@ -193,6 +235,84 @@ class LocalKernel:
             self.table[idx] = value - 1
         self.histories[slot] = (local << 1) | (1 if taken else 0)
         return idx
+
+    def event_indices(self, pc: np.ndarray, taken: np.ndarray,
+                      trans: np.ndarray) -> np.ndarray:
+        """Pattern-table index of every event; advances ``histories``.
+
+        ``pc``, ``taken`` and ``trans`` are per-event arrays (``trans``:
+        the event trains).  An event reads its slot's starting history
+        with the outcomes of the slot's earlier train events shifted
+        in.  So the events are grouped by slot, each slot's bit stream
+        (the low bits of its starting history, then its train outcomes)
+        is laid end to end, and every index is a window of that stream
+        (:func:`~repro.sim.fastcore.decode.bit_windows`).  Afterwards
+        each trained slot holds ``((h & history_mask) << 1) | t`` for
+        its last train event, exactly as per-event training leaves it.
+        """
+        count = int(pc.shape[0])
+        if count == 0:
+            return np.zeros(0, dtype=np.int64)
+        order, slots, taken = group_events(
+            pc & self.local_mask, self.local_mask, taken
+        )
+        new = np.empty(count, dtype=bool)
+        new[0] = True
+        np.not_equal(slots[1:], slots[:-1], out=new[1:])
+        first = np.flatnonzero(new)
+        ends = np.append(first[1:], count)
+
+        # Slot j's stream starts at j * width + (train events of earlier
+        # slots); event k reads the bits before its own position.
+        width = min(self.history_bits, 63)
+        read_pos = np.repeat(
+            np.arange(1, first.shape[0] + 1, dtype=np.int64) * width,
+            ends - first,
+        )
+        if trans.all():
+            trained = slice(None)
+            read_pos += np.arange(count)
+            last = ends - 1
+        else:
+            trained = np.flatnonzero(trans[order])
+            before = np.zeros(count + 1, dtype=np.int64)
+            before[trained + 1] = 1
+            read_pos += np.cumsum(before[:-1])
+            slot_of = slots[trained]
+            last = np.empty(trained.shape[0], dtype=bool)
+            last[:-1] = slot_of[1:] != slot_of[:-1]
+            last[-1:] = True
+            last = trained[last]
+        histories = self.histories
+        low = (1 << width) - 1
+        start = np.array(
+            [histories[slot] & low for slot in slots[first].tolist()],
+            dtype=np.uint64,
+        )
+        bits = np.zeros(int(read_pos[-1]) + 1, dtype=np.uint8)
+        offsets = np.arange(width, dtype=np.int64)
+        bits[read_pos[first, None] - width + offsets] = (
+            start[:, None] >> (width - 1 - offsets).astype(np.uint64)
+        ) & np.uint64(1)
+        bits[read_pos[trained]] = taken[trained]
+        windows = bit_windows(bits, read_pos, width)
+        del read_pos, bits
+
+        if self.history_bits <= 63:
+            for slot, window, t in zip(slots[last].tolist(),
+                                       windows[last].tolist(),
+                                       taken[last].tolist()):
+                histories[slot] = (window << 1) | t
+        else:
+            hmask = self.history_mask
+            for slot, t in zip(slots[trained].tolist(),
+                               taken[trained].tolist()):
+                histories[slot] = ((histories[slot] & hmask) << 1) | t
+
+        windows &= windows.dtype.type(self.history_mask & self.mask)
+        idxs = np.empty(count, dtype=windows.dtype)
+        idxs[order] = windows
+        return idxs
 
     def state(self) -> dict:
         return {

@@ -1,30 +1,45 @@
-"""Scalar replay loops over pre-decoded event streams.
+"""Scalar replay over pre-decoded event streams.
 
-Three loops, from hottest to most general:
+Table kernels (bimodal, gshare, gselect, GAg, and local's pattern
+table) replay their 2-bit counters one *run* at a time:
 
-* :func:`_replay_table_uniform` — every event reads then trains one
-  counter (the common no-SFP, no-delay case).  Pure list indexing on
-  ints; no attribute lookups, no allocation beyond the mispredict list.
-* :func:`_replay_table_flags` — same tables, but events carry read /
-  transition flags (squash train-PHT events are transition-only;
-  delayed-update mode splits reads from their transitions).
-* :func:`_replay_generic` — drives any kernel through the scalar ABI
+* :func:`split_runs` regroups the events by table index (a counter
+  only ever sees the events that index it), keeping stream order
+  within a counter (:func:`~repro.sim.fastcore.kernels.group_events`),
+  then splits each counter's events into runs of one direction.
+* :func:`replay_runs` steps a transition list once per run on
+  ``uniform`` plans (every event reads then trains): a run's symbol is
+  its direction and ``min(length, 3)``, and only the first one or two
+  events of a run can mispredict, which numpy recovers from the state
+  each run starts in.  Only the counters the stream touches are read
+  from, and written back to, the kernel's table.
+* :func:`_replay_table_flags` walks events one by one when they carry
+  read / transition flags (squash train-PHT events are
+  transition-only; delayed-update mode splits reads from their
+  transitions, so runs stay short there).
+* :func:`_replay_generic` drives any kernel through the scalar ABI
   (``predict``/``train``); the fallback for kernels without a
-  vectorised index (the local kernel gets a specialised variant).
+  vectorised index.
+
+The local kernel's indices come from
+:meth:`~repro.sim.fastcore.kernels.LocalKernel.event_indices`: its
+histories shift in actual outcomes only, so they never depend on a
+prediction.
 
 The composite kernels (tournament, perceptron, TAGE) each have their
 own loop, fed per-event indices computed with numpy from the plan's
-``pc`` and ``ghr`` arrays (chooser and component slots, perceptron sign
-tuples, TAGE slots and tags); only their serial table state stays in
-Python.  They run a chunk of :data:`CHUNK_EVENTS` events at a time, so
-the per-event index lists never outgrow one chunk.
+``pc`` and ``ghr`` arrays (chooser, component and local pattern slots,
+perceptron sign tuples, TAGE slots and tags); only their serial table
+state stays in Python.  They run a chunk of :data:`CHUNK_EVENTS` events
+at a time, so the per-event index lists never outgrow one chunk.
 
-Every loop returns the *event positions* that mispredicted; the caller
-maps positions to branch indices through the plan's ``ev_branch`` array
-and builds all statistics vectorised.
+Every path returns the *event positions* that mispredicted, ascending;
+the caller maps positions to branch indices through the plan's
+``ev_branch`` array and builds all statistics vectorised.
 """
 
 import operator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,30 +50,159 @@ from repro.sim.fastcore.kernels import (
     TableKernel,
     TageKernel,
     TournamentKernel,
+    group_events,
 )
 
 #: Events per call of a composite kernel's loop.
 CHUNK_EVENTS = 1 << 16
 
 
-def _replay_table_uniform(table, idxs, takens):
-    mis = []
-    add = mis.append
-    k = 0
-    for i, t in zip(idxs, takens):
-        value = table[i]
-        if t:
-            if value < 2:
-                add(k)
-            if value < 3:
-                table[i] = value + 1
-        else:
-            if value >= 2:
-                add(k)
-            if value:
-                table[i] = value - 1
-        k += 1
-    return mis
+class Runs(NamedTuple):
+    """An event stream grouped by counter and split into runs.
+
+    ``order`` lists the event positions counter by counter (stream
+    order within a counter); the run arrays index into it.
+    """
+
+    order: np.ndarray  #: event positions, grouped by counter
+    start: np.ndarray  #: int64, a run's first slot in ``order``
+    length: np.ndarray  #: int64, events in the run
+    index: np.ndarray  #: the run's table index
+    symbol: np.ndarray  #: uint8, the run's direction (and flags)
+    first: np.ndarray  #: bool, the counter's first run
+    last: np.ndarray  #: bool, the counter's last run
+
+
+def split_runs(idx: np.ndarray, symbol: np.ndarray, entries: int,
+               symbol_bits: int = 1) -> Runs:
+    """Group events by table index; split at every change of symbol.
+
+    ``symbol`` is a small per-event code (``symbol_bits`` wide: the
+    direction, plus any read/transition flags); equal neighbours on one
+    counter share a run.  ``entries`` is the table size.
+    """
+    count = int(idx.shape[0])
+    order, sorted_idx, sorted_symbol = group_events(
+        idx, entries - 1, symbol, symbol_bits
+    )
+    new = np.empty(count, dtype=bool)
+    new[0] = True
+    np.not_equal(sorted_idx[1:], sorted_idx[:-1], out=new[1:])
+    cut = new.copy()
+    cut[1:] |= sorted_symbol[1:] != sorted_symbol[:-1]
+    start = np.flatnonzero(cut)
+    length = np.empty_like(start)
+    length[:-1] = start[1:] - start[:-1]
+    length[-1] = count - start[-1]
+    first = new[start]
+    last = np.empty_like(first)
+    last[:-1] = first[1:]
+    last[-1] = True
+    return Runs(order, start, length, sorted_idx[start],
+                sorted_symbol[start], first, last)
+
+
+def _run_end(state: int, taken: int, length: int) -> int:
+    return min(state + length, 3) if taken else max(state - length, 0)
+
+
+#: A run's symbol is ``sym = 3 * taken + min(length, 3) - 1``; its code
+#: is ``4 * sym``, or ``24 + 24 * v + 4 * sym`` for a counter's first
+#: run with start value ``v``.  The code plus the state entering the
+#: run indexes the state leaving it (a first run ignores that state).
+_RUN_STEP = [
+    _run_end(state, sym // 3, sym % 3 + 1)
+    for sym in range(6) for state in range(4)
+] + [
+    _run_end(value, sym // 3, sym % 3 + 1)
+    for value in range(4) for sym in range(6) for state in range(4)
+]
+
+
+def _walk(codes) -> bytearray:
+    """The state leaving each run, stepping once per run."""
+    ends = []
+    add = ends.append
+    state = 0
+    step = _RUN_STEP
+    for code in codes:
+        state = step[code + state]
+        add(state)
+    return bytearray(ends)
+
+
+#: Mispredicts at the head of a trained run, by ``4 * taken + state``:
+#: a taken run mispredicts while the counter is below 2, a not-taken
+#: run while it is 2 or more — at its second event too when it started
+#: saturated the wrong way.
+_HEAD_MISSES = np.array([0, 0, 1, 2, 2, 1, 0, 0], dtype=np.uint8)
+
+
+def start_values(table, runs: Runs) -> np.ndarray:
+    """``uint8`` start value of every counter the runs touch, read from
+    the kernel's list (no conversion of the whole table)."""
+    heads = runs.index[runs.first].tolist()
+    return np.frombuffer(
+        bytearray(map(table.__getitem__, heads)), dtype=np.uint8
+    )
+
+
+def settle_runs(table, runs: Runs, ends: np.ndarray,
+                start_value: np.ndarray, taken: np.ndarray,
+                reads=None, trains=None) -> np.ndarray:
+    """Write back each counter's end value; mispredicted event positions.
+
+    ``ends`` holds the state leaving every run, ``start_value`` each
+    counter's state before its first run and ``taken`` every run's
+    direction.  Without ``reads``/``trains`` (per run) every run reads
+    and trains; a read-only run sees one state throughout, so it
+    mispredicts at every event or at none, and a train-only run never
+    counts.  Returns the mispredicted event positions, ascending.
+    """
+    last = runs.last
+    for i, value in zip(runs.index[last].tolist(), ends[last].tolist()):
+        table[i] = value
+    state = np.empty_like(ends)
+    state[1:] = ends[:-1]
+    state[runs.first] = start_value
+    misses = _HEAD_MISSES[(taken << np.uint8(2)) | state]
+    heads = misses != 0
+    twice = misses == 2
+    twice &= runs.length > 1
+    if reads is not None:
+        heads &= reads
+        twice &= reads & trains
+    found = [runs.start[heads], runs.start[twice] + 1]
+    if reads is not None:
+        whole = heads & ~trains
+        rest = runs.length[whole] - 1
+        skip = np.cumsum(rest) - rest
+        found.append(
+            np.arange(int(rest.sum()))
+            + np.repeat(runs.start[whole] + 1 - skip, rest)
+        )
+    return np.sort(runs.order[np.concatenate(found)])
+
+
+def replay_runs(table, idx: np.ndarray, taken: np.ndarray) -> np.ndarray:
+    """Replay read+train events on 2-bit counters, a run at a time.
+
+    ``table`` is the kernel's list of counters, updated in place;
+    ``idx`` and ``taken`` (``uint8``) are per-event arrays.  Returns the
+    event positions that mispredicted, ascending.
+    """
+    if idx.shape[0] == 0:
+        return np.zeros(0, dtype=np.int64)
+    runs = split_runs(idx, taken, len(table))
+    start_value = start_values(table, runs)
+    codes = runs.symbol * np.uint8(3) + np.minimum(runs.length, 3).astype(
+        np.uint8
+    )
+    codes -= np.uint8(1)
+    codes <<= np.uint8(2)
+    codes[runs.first] += np.uint8(24) + np.uint8(24) * start_value
+    ends = np.frombuffer(_walk(codes.tolist()), dtype=np.uint8)
+    return settle_runs(table, runs, ends, start_value, runs.symbol)
 
 
 def _replay_table_flags(table, idxs, takens, reads, transs):
@@ -79,33 +223,6 @@ def _replay_table_flags(table, idxs, takens, reads, transs):
     return mis
 
 
-def _replay_local(kernel, pcs, takens, reads, transs):
-    table = kernel.table
-    histories = kernel.histories
-    tmask = kernel.mask
-    lmask = kernel.local_mask
-    hmask = kernel.history_mask
-    mis = []
-    add = mis.append
-    k = 0
-    for pc, t in zip(pcs, takens):
-        slot = pc & lmask
-        local = histories[slot] & hmask
-        idx = local & tmask
-        if reads[k] and (table[idx] >= 2) != t:
-            add(k)
-        if transs[k]:
-            value = table[idx]
-            if t:
-                if value < 3:
-                    table[idx] = value + 1
-            elif value:
-                table[idx] = value - 1
-            histories[slot] = (local << 1) | t
-        k += 1
-    return mis
-
-
 def _replay_generic(kernel, pcs, ghrs, takens, reads, transs):
     predict = kernel.predict
     train = kernel.train
@@ -121,31 +238,27 @@ def _replay_generic(kernel, pcs, ghrs, takens, reads, transs):
     return mis
 
 
-def _replay_tournament(kernel, pc, ghr, takens, reads, transs):
+def _replay_tournament(kernel, pc, ghr, taken, read, trans):
     a = kernel.a
     b = kernel.b
+    takens = taken.tolist()
+    reads = read.tolist()
+    transs = trans.tolist()
     if type(a) is not LocalKernel or not isinstance(b, TableKernel):
         return _replay_generic(
             kernel, pc.tolist(), ghr.tolist(), takens, reads, transs
         )
     cidxs = kernel.batch_chooser_index(pc, ghr).tolist()
+    aidxs = a.event_indices(pc, taken, trans).tolist()
     bidxs = b.batch_index(pc, ghr).tolist()
     chooser = kernel.chooser
     atable = a.table
-    histories = a.histories
-    amask = a.mask
-    lmask = a.local_mask
-    hmask = a.history_mask
     btable = b.table
     mis = []
     add = mis.append
     k = 0
-    for p, t in zip(pc.tolist(), takens):
-        slot = p & lmask
-        local = histories[slot] & hmask
-        ai = local & amask
+    for ai, bi, t in zip(aidxs, bidxs, takens):
         va = atable[ai]
-        bi = bidxs[k]
         vb = btable[bi]
         if reads[k]:
             if chooser[cidxs[k]] >= 2:
@@ -173,12 +286,14 @@ def _replay_tournament(kernel, pc, ghr, takens, reads, transs):
                     atable[ai] = va - 1
                 if vb:
                     btable[bi] = vb - 1
-            histories[slot] = (local << 1) | t
         k += 1
     return mis
 
 
-def _replay_perceptron(kernel, pc, ghr, takens, reads, transs):
+def _replay_perceptron(kernel, pc, ghr, taken, read, trans):
+    takens = taken.tolist()
+    reads = read.tolist()
+    transs = trans.tolist()
     rows = (pc & kernel.mask).tolist()
     keys, sign_tuples = kernel.batch_signs(ghr)
     weights = kernel.weights
@@ -203,7 +318,10 @@ def _replay_perceptron(kernel, pc, ghr, takens, reads, transs):
     return mis
 
 
-def _replay_tage(kernel, pc, ghr, takens, reads, transs):
+def _replay_tage(kernel, pc, ghr, taken, read, trans):
+    takens = taken.tolist()
+    reads = read.tolist()
+    transs = trans.tolist()
     base_slots, slots, tags = kernel.batch_slots(pc, ghr)
     base_slots = base_slots.tolist()
     slots = [s.tolist() for s in slots]
@@ -302,9 +420,8 @@ def _replay_chunked(loop, kernel, plan: ReplayPlan) -> np.ndarray:
         branches = ev_branch[start:stop]
         mis = loop(
             kernel, plan.pc[branches], plan.ghr[branches],
-            plan.taken[branches].tolist(),
-            plan.ev_read[start:stop].tolist(),
-            plan.ev_trans[start:stop].tolist(),
+            plan.taken[branches], plan.ev_read[start:stop],
+            plan.ev_trans[start:stop],
         )
         found.append(np.asarray(mis, dtype=np.int64) + start)
     if not found:
@@ -322,31 +439,24 @@ def fast_replay(kernel, plan: ReplayPlan) -> np.ndarray:
     loop = _COMPOSITE_LOOPS.get(type(kernel))
     if loop is not None:
         return ev_branch[_replay_chunked(loop, kernel, plan)]
-    takens = plan.taken[ev_branch].tolist()
-    if getattr(kernel, "batchable", False):
-        idxs = kernel.batch_index(
-            plan.pc[ev_branch], plan.ghr[ev_branch]
-        ).tolist()
-        if plan.uniform:
-            mis = _replay_table_uniform(kernel.table, idxs, takens)
-        else:
-            mis = _replay_table_flags(
-                kernel.table, idxs, takens,
-                plan.ev_read.tolist(), plan.ev_trans.tolist(),
-            )
+    pc = plan.per_event(plan.pc)
+    taken = plan.per_event(plan.taken)
+    if isinstance(kernel, LocalKernel):
+        idx = kernel.event_indices(pc, taken, plan.ev_trans)
+    elif getattr(kernel, "batchable", False):
+        idx = kernel.batch_index(pc, plan.per_event(plan.ghr))
     else:
-        pcs = plan.pc[ev_branch].tolist()
-        reads = plan.ev_read.tolist()
-        transs = plan.ev_trans.tolist()
-        if isinstance(kernel, LocalKernel):
-            mis = _replay_local(kernel, pcs, takens, reads, transs)
-        else:
-            ghrs = plan.ghr[ev_branch].tolist()
-            mis = _replay_generic(
-                kernel, pcs, ghrs, takens, reads, transs
-            )
-    if not mis:
-        return np.zeros(0, dtype=np.int64)
+        mis = _replay_generic(
+            kernel, pc.tolist(), plan.per_event(plan.ghr).tolist(),
+            taken.tolist(), plan.ev_read.tolist(), plan.ev_trans.tolist(),
+        )
+        return ev_branch[np.asarray(mis, dtype=np.int64)]
+    if plan.uniform:
+        return ev_branch[replay_runs(kernel.table, idx, taken)]
+    mis = _replay_table_flags(
+        kernel.table, idx.tolist(), taken.tolist(),
+        plan.ev_read.tolist(), plan.ev_trans.tolist(),
+    )
     return ev_branch[np.asarray(mis, dtype=np.int64)]
 
 

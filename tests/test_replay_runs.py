@@ -1,0 +1,250 @@
+"""The grouped run replay against the per-event oracle.
+
+Hypothesis drives random event streams (indices, outcomes, read and
+transition flags) through the replay paths of ``repro.sim.fastcore`` and
+through the per-event loops of ``tests/replay_oracle.py``; mispredict
+positions, final tables and local histories must match exactly.  The
+streams draw their indices from a small pool, so counters see long
+runs as well as alternating ones, and cover saturated and random start
+tables, tables and history tables beyond 65,536 entries, and local
+histories set with ``load_state`` (including bits above the history
+length).
+"""
+
+import copy
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.sim import SimOptions
+from repro.sim.fastcore import batch_replay, fast_replay
+from repro.sim.fastcore.decode import ReplayPlan
+from repro.sim.fastcore.kernels import (
+    BimodalKernel,
+    GShareKernel,
+    LocalKernel,
+    TournamentKernel,
+    group_events,
+)
+from repro.sim.fastcore.replay import _replay_generic, replay_runs
+from tests.replay_oracle import replay_local, replay_table_uniform
+
+pytestmark = pytest.mark.fastcore
+
+SIZES = (1, 4, 64, 1 << 17)
+
+
+def make_plan(pc, taken, read=None, trans=None, ghr=None):
+    """A replay plan whose events are the given branches, in order."""
+    n = len(pc)
+    read = np.ones(n, np.uint8) if read is None else np.asarray(
+        read, dtype=np.uint8
+    )
+    trans = np.ones(n, np.uint8) if trans is None else np.asarray(
+        trans, dtype=np.uint8
+    )
+    return ReplayPlan(
+        options=SimOptions(),
+        workload="stream",
+        instructions=n,
+        n=n,
+        pc=np.asarray(pc, dtype=np.int64).reshape(n),
+        taken=np.asarray(taken, dtype=np.uint8).reshape(n),
+        ghr=(
+            np.zeros(n, dtype=np.uint64) if ghr is None
+            else np.asarray(ghr, dtype=np.uint64)
+        ),
+        cls=np.zeros(n, dtype=np.int8),
+        squash=None,
+        ev_branch=np.arange(n, dtype=np.int64),
+        ev_read=read,
+        ev_trans=trans,
+        uniform=bool(read.all() and trans.all()),
+        applied_updates=0,
+    )
+
+
+def start_table(draw, entries):
+    kind = draw(st.sampled_from(["fresh", "zeros", "threes", "random"]))
+    if kind == "random":
+        seed = draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        return rng.integers(0, 4, entries).tolist()
+    return [{"fresh": 1, "zeros": 0, "threes": 3}[kind]] * entries
+
+
+@st.composite
+def events(draw, span, flags):
+    """(values, taken, read, trans): values drawn from a small pool of
+    ``[0, span)``, each event repeated 1-5 times so runs form."""
+    pool = draw(st.lists(
+        st.integers(0, span - 1), min_size=1, max_size=6
+    ))
+    bias = draw(st.sampled_from([0.5, 0.9]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    count = draw(st.integers(0, 40))
+    rng = np.random.default_rng(seed)
+    repeats = rng.integers(1, 6, count)
+    value = np.repeat(rng.choice(pool, count), repeats)
+    taken = np.repeat(rng.random(count) < bias, repeats)
+    n = int(value.shape[0])
+    if flags and draw(st.booleans()):
+        read = rng.random(n) < 0.7
+        trans = rng.random(n) < 0.7
+    else:
+        read = np.ones(n, dtype=bool)
+        trans = np.ones(n, dtype=bool)
+    return (value.astype(np.int64), taken.astype(np.uint8),
+            read.astype(np.uint8), trans.astype(np.uint8))
+
+
+@st.composite
+def table_streams(draw, flags=False):
+    entries = draw(st.sampled_from(SIZES))
+    table = start_table(draw, entries)
+    return (table,) + draw(events(entries, flags))
+
+
+@settings(max_examples=150, deadline=None)
+@given(stream=table_streams())
+def test_replay_runs_matches_oracle(stream):
+    table, idx, taken, _, _ = stream
+    expected_table = list(table)
+    expected = replay_table_uniform(
+        expected_table, idx.tolist(), taken.tolist()
+    )
+    got = replay_runs(table, idx, taken)
+    assert got.tolist() == expected
+    assert got.dtype == np.int64
+    assert table == expected_table
+
+
+def _table_kernel(table):
+    kernel = BimodalKernel(len(table))
+    kernel.load_state({"table": table})
+    return kernel
+
+
+@settings(max_examples=150, deadline=None)
+@given(stream=table_streams(flags=True))
+def test_table_kernel_cores_match_per_event_replay(stream):
+    """fast (runs or flags loop) and numpy (run scan) against a
+    per-event walk through the kernel's scalar ABI."""
+    table, idx, taken, read, trans = stream
+    plan = make_plan(idx, taken, read, trans)
+    reference = _table_kernel(table)
+    expected = _replay_generic(
+        reference, idx.tolist(), [0] * len(idx), taken.tolist(),
+        read.tolist(), trans.tolist(),
+    )
+    if plan.uniform:
+        oracle_table = list(table)
+        assert replay_table_uniform(
+            oracle_table, idx.tolist(), taken.tolist()
+        ) == expected
+        assert oracle_table == reference.table
+    for replay in (fast_replay, batch_replay):
+        kernel = _table_kernel(table)
+        got = replay(kernel, plan)
+        assert got.tolist() == expected, replay.__name__
+        assert kernel.table == reference.table, replay.__name__
+
+
+@st.composite
+def local_streams(draw):
+    entries = draw(st.sampled_from(SIZES))
+    local_entries = draw(st.sampled_from((1, 8, 1 << 17)))
+    history_bits = draw(st.sampled_from((0, 1, 3, 6, 12, 63, 70)))
+    kernel = LocalKernel(entries, local_entries, history_bits)
+    table = start_table(draw, entries)
+    histories = [0] * local_entries
+    loaded = draw(st.lists(
+        st.tuples(st.integers(0, local_entries - 1),
+                  st.integers(0, 2**80)),
+        max_size=6,
+    ))
+    for slot, value in loaded:
+        histories[slot] = value
+    kernel.load_state({"table": table, "histories": histories})
+    # pcs span several history slots, aliasing beyond local_entries.
+    return (kernel,) + draw(events(4 * local_entries, True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(stream=local_streams())
+def test_local_replay_matches_oracle(stream):
+    kernel, pc, taken, read, trans = stream
+    oracle = copy.deepcopy(kernel)
+    expected = replay_local(
+        oracle, pc.tolist(), taken.tolist(), read.tolist(), trans.tolist()
+    )
+    got = fast_replay(kernel, make_plan(pc, taken, read, trans))
+    assert got.tolist() == expected
+    assert kernel.table == oracle.table
+    assert kernel.histories == oracle.histories
+
+
+@settings(max_examples=100, deadline=None)
+@given(stream=local_streams(), seed=st.integers(0, 2**32 - 1))
+def test_tournament_local_indices_match_scalar_abi(stream, seed):
+    local, pc, taken, read, trans = stream
+    ghr = np.random.default_rng(seed).integers(
+        0, 1 << 16, pc.shape[0]
+    ).astype(np.uint64)
+    kernel = TournamentKernel(64, local, GShareKernel(256, 8))
+    reference = copy.deepcopy(kernel)
+    expected = _replay_generic(
+        reference, pc.tolist(), ghr.tolist(), taken.tolist(),
+        read.tolist(), trans.tolist(),
+    )
+    got = fast_replay(kernel, make_plan(pc, taken, read, trans, ghr))
+    assert got.tolist() == expected
+    assert kernel.state() == reference.state()
+
+
+@pytest.mark.parametrize("count", [0, 1])
+@pytest.mark.parametrize("taken", [0, 1])
+def test_empty_and_single_event_streams(count, taken):
+    pc = [5] * count
+    outcome = [taken] * count
+    plan = make_plan(pc, outcome)
+    for replay in (fast_replay, batch_replay):
+        kernel = BimodalKernel(4)
+        got = replay(kernel, plan)
+        assert got.dtype == np.int64
+        # A fresh counter (1) predicts not taken.
+        assert got.tolist() == ([0] if count and taken else [])
+        trained = (2 if taken else 0) if count else 1
+        assert kernel.table == [1, trained, 1, 1]
+    local = LocalKernel(16, 4, 3)
+    local.load_state({"table": [1] * 16, "histories": [0, 0b1011, 0, 0]})
+    got = fast_replay(local, make_plan([1] * count, outcome))
+    assert got.tolist() == ([0] if count and taken else [])
+    expected = ((0b1011 & 0b111) << 1) | taken if count else 0b1011
+    assert local.histories == [0, expected, 0, 0]
+    assert replay_runs([1], np.zeros(0, np.int64),
+                       np.zeros(0, np.uint8)).tolist() == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bits=st.sampled_from((1, 8, 16, 17, 31)),
+    symbol_bits=st.sampled_from((1, 3)),
+    count=st.sampled_from((1, 7, 300, 40000)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_group_events_is_a_stable_sort(bits, symbol_bits, count, seed):
+    """Both the packed-key sort and the argsort fallback (keys wider
+    than 32 bits) group stably."""
+    rng = np.random.default_rng(seed)
+    mask = (1 << bits) - 1
+    values = rng.integers(0, min(mask, 50) + 1, count) * (mask // 50 or 1)
+    symbol = rng.integers(0, 1 << symbol_bits, count).astype(np.uint8)
+    order, grouped, grouped_symbol = group_events(
+        values, mask, symbol, symbol_bits
+    )
+    expected = np.argsort(values, kind="stable")
+    assert order.tolist() == expected.tolist()
+    assert grouped.tolist() == values[expected].tolist()
+    assert grouped_symbol.tolist() == symbol[expected].tolist()

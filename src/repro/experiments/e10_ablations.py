@@ -86,7 +86,7 @@ def run(scale: str = "small", workloads=None, fast: bool = False,
             merge_adjacent_regions=False,
             unroll=1,
         )
-        sched_traces = suite_traces(scale=scale, workloads=subset)
+        sched_traces = {name: traces[name] for name in subset}
         flat_traces = suite_traces(
             scale=scale, workloads=subset, config=no_sched
         )

@@ -37,6 +37,13 @@ def run(scale: str = "small", workloads=None, fast: bool = False,
     )
     model = CostModel()
     both = {"sfp": SFPConfig(), "pgu": PGUConfig()}
+    # Loaded once for every geometry: the replay plan ignores the BTB,
+    # so on the fast cores the geometries also share one decode.
+    traces = [
+        (workload.trace(scale=scale, hyperblocks=False),
+         workload.trace(scale=scale, hyperblocks=True))
+        for workload in suite_workloads(workloads)
+    ]
     rows = []
     for sets, ways in geometries:
         btb = BTBConfig(sets=sets, ways=ways)
@@ -46,9 +53,7 @@ def run(scale: str = "small", workloads=None, fast: bool = False,
             "hyper_both_misfetch": [0, 0],
         }
         base_cycles = hyper_cycles = 0.0
-        for workload in suite_workloads(workloads):
-            base_trace = workload.trace(scale=scale, hyperblocks=False)
-            hyper_trace = workload.trace(scale=scale, hyperblocks=True)
+        for base_trace, hyper_trace in traces:
             base = simulate(
                 base_trace,
                 make_predictor("gshare", entries=entries),

@@ -36,13 +36,24 @@ def run(scale: str = "small", workloads=None, fast: bool = False,
     this experiment generates its own synthetic programs."""
     noises = FAST_NOISES if fast else NOISES
     spacings = FAST_SPACINGS if fast else SPACINGS
+    traces = {}
+
+    def synthetic_trace(noise: int, spacing: int):
+        # Both parts run noise=15, spacing=0: load that trace once.
+        key = (noise, spacing)
+        if key not in traces:
+            workload = make_synthetic(
+                bias=bias, noise=noise, spacing=spacing
+            )
+            traces[key] = workload.trace(scale=scale, hyperblocks=True)
+        return traces[key]
+
     rows = []
     for noise in noises:
         # spacing=0 keeps the branch's own guard *fresh* (invisible at
         # fetch), so what remains is pure cross-predicate correlation:
         # the hammock's define vs the branch outcome.
-        workload = make_synthetic(bias=bias, noise=noise, spacing=0)
-        trace = workload.trace(scale=scale, hyperblocks=True)
+        trace = synthetic_trace(noise, 0)
         base = simulate(
             trace, make_predictor("gshare", entries=entries), SimOptions()
         )
@@ -62,8 +73,7 @@ def run(scale: str = "small", workloads=None, fast: bool = False,
             }
         )
     for spacing in spacings:
-        workload = make_synthetic(bias=bias, noise=15, spacing=spacing)
-        trace = workload.trace(scale=scale, hyperblocks=True)
+        trace = synthetic_trace(15, spacing)
         base = simulate(
             trace, make_predictor("gshare", entries=entries), SimOptions()
         )

@@ -1,10 +1,11 @@
 """Confidence-instrumented simulation (feeds experiment E14)."""
 
-from repro.pipeline.availability import AvailabilityModel
-from repro.pipeline.frontend import GlobalHistory
+from dataclasses import replace
+
 from repro.predictors.base import BranchPredictor
 from repro.predictors.confidence import ConfidenceEstimator, ConfidenceResult
-from repro.sim.driver import SimOptions
+from repro.sim.driver import SimOptions, simulate
+from repro.sim.fastcore import jrs_confidence, plan_for
 from repro.trace.container import Trace
 
 
@@ -17,75 +18,32 @@ def simulate_with_confidence(
     """Replay ``trace`` classifying every prediction's confidence.
 
     Squashed branches (when the options enable SFP) are *perfect*
-    confidence; the estimator classifies the rest as high/low.  PGU (if
-    enabled) augments the history both the predictor and the estimator
-    index with.
+    confidence; the estimator classifies the rest as high/low, indexing
+    its table with the same predict-time history as the predictor (PGU
+    included).  The predictor replays through :func:`simulate` on the
+    ambient core; the estimator is a post-pass over the replay plan
+    (:func:`~repro.sim.fastcore.replay.jrs_confidence`), which leaves
+    its table exactly as training after every prediction would.
+
+    The estimator trains as soon as a prediction resolves, so
+    ``options.delayed_update`` is rejected.
     """
-    availability = AvailabilityModel(options.distance)
-    history = GlobalHistory(options.history_bits)
-    sfp = options.sfp
-    if sfp is None:
-        squash_list = None
-    elif sfp.squash_known_true:
-        squash_list = (
-            availability.guard_known_mask(trace) & (trace.b_guard != 0)
-        ).tolist()
-    else:
-        squash_list = availability.squashable_mask(trace).tolist()
-
-    if options.pgu is not None:
-        delay = (
-            options.distance
-            if options.pgu.delay is None
-            else options.pgu.delay
+    if options.delayed_update:
+        raise ValueError(
+            "simulate_with_confidence does not model delayed updates"
         )
-        d_idx = trace.d_idx.tolist()
-        d_value = trace.d_value.tolist()
-    else:
-        delay = 0
-        d_idx = d_value = []
-    num_defs = len(d_idx)
-
-    b_pc = trace.b_pc.tolist()
-    b_idx = trace.b_idx.tolist()
-    b_taken = trace.b_taken.tolist()
-    dptr = 0
-
-    perfect = high = high_correct = low = low_correct = 0
-
-    for i in range(len(b_pc)):
-        j = b_idx[i]
-        while dptr < num_defs and d_idx[dptr] + delay <= j:
-            history.shift(d_value[dptr])
-            dptr += 1
-        pc = b_pc[i]
-        taken = b_taken[i]
-        if squash_list is not None and squash_list[i]:
-            perfect += 1
-            if sfp.update_pht:
-                predictor.update(pc, history.bits, taken)
-            if sfp.update_history:
-                history.shift(taken)
-            continue
-        ghr = history.bits
-        predicted = predictor.predict(pc, ghr)
-        confident = estimator.is_confident(pc, ghr)
-        correct = predicted == taken
-        predictor.update(pc, ghr, taken)
-        estimator.update(pc, ghr, correct)
-        history.shift(taken)
-        if confident:
-            high += 1
-            high_correct += int(correct)
-        else:
-            low += 1
-            low_correct += int(correct)
-
+    result = simulate(trace, predictor, replace(options, record_flags=True))
+    correct = result.flags.correct
+    confident = jrs_confidence(plan_for(trace, options), correct, estimator)
+    perfect = result.squashed
+    high = int(confident.sum())
+    high_correct = int((confident & correct).sum())
+    predicted_correct = int(correct.sum()) - perfect
     return ConfidenceResult(
-        branches=len(b_pc),
+        branches=result.branches,
         perfect=perfect,
         high=high,
         high_correct=high_correct,
-        low=low,
-        low_correct=low_correct,
+        low=result.branches - perfect - high,
+        low_correct=predicted_correct - high_correct,
     )

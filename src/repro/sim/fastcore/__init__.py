@@ -13,7 +13,9 @@ reference and the only path for predictors without a kernel (static,
 perfect) and for profiler collectors — ``simulate`` falls back
 automatically (see :func:`supported`).  A BTB is modelled by an exact
 post-pass over the replayed directions
-(:func:`~repro.sim.fastcore.replay.btb_misfetches`).
+(:func:`~repro.sim.fastcore.replay.btb_misfetches`); a JRS confidence
+estimator by another (:func:`~repro.sim.fastcore.replay.jrs_confidence`,
+used by :func:`repro.sim.confidence.simulate_with_confidence`).
 """
 
 import time
@@ -35,7 +37,11 @@ from repro.sim.fastcore.kernels import (
     kernel_from_predictor,
     kernelizable,
 )
-from repro.sim.fastcore.replay import btb_misfetches, fast_replay
+from repro.sim.fastcore.replay import (
+    btb_misfetches,
+    fast_replay,
+    jrs_confidence,
+)
 from repro.sim.stats import ClassStats
 from repro.trace.container import BranchClass
 
@@ -51,8 +57,10 @@ __all__ = [
     "build_plan",
     "differential_check",
     "fast_replay",
+    "jrs_confidence",
     "kernel_from_predictor",
     "kernelizable",
+    "plan_for",
     "run_fast",
     "supported",
 ]
@@ -71,7 +79,7 @@ def supported(predictor, options: SimOptions, collector=None) -> bool:
 _PLAN_CACHE_LIMIT = 8
 
 
-def _plan_for(trace, options: SimOptions) -> ReplayPlan:
+def plan_for(trace, options: SimOptions) -> ReplayPlan:
     """Build (or reuse) the replay plan for ``(trace, options)``.
 
     Pre-decode depends only on the trace and the simulation options,
@@ -122,7 +130,7 @@ def run_fast(
         workload=trace.meta.workload or "<trace>",
         kernel=kernel.name,
     ):
-        plan = _plan_for(trace, options)
+        plan = plan_for(trace, options)
         used = core
         if core == "numpy" and not batch_supported(kernel):
             if require:

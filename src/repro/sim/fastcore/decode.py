@@ -59,7 +59,16 @@ class BranchTrace:
 
     @classmethod
     def from_trace(cls, trace: Trace) -> "BranchTrace":
-        return cls(
+        """The trace's branch stream, built once per trace object.
+
+        Like the replay-plan cache, the result lives on the trace and
+        dies with it, so every plan decoded from one trace shares one
+        ``branch_classes()`` pass.
+        """
+        branches = trace.__dict__.get("_fastcore_branches")
+        if branches is not None:
+            return branches
+        branches = trace.__dict__["_fastcore_branches"] = cls(
             pc=trace.b_pc,
             idx=trace.b_idx,
             taken=trace.b_taken,
@@ -73,6 +82,7 @@ class BranchTrace:
             workload=trace.meta.workload or "<trace>",
             instructions=trace.meta.instructions,
         )
+        return branches
 
     @property
     def num_branches(self) -> int:
@@ -177,7 +187,7 @@ def _history_values(bt: BranchTrace, options: SimOptions,
         visible_at, d_bits = defines
     # defs_le[i] = defines shifted in by the time branch i predicts
     # (everything visible at or before i precedes i's own read).
-    defs_le = np.searchsorted(visible_at, np.arange(n), side="right")
+    defs_le = np.cumsum(np.bincount(visible_at, minlength=n))
 
     m = int(visible_at.shape[0]) + int(emits_excl[n])
     bits = np.zeros(m, dtype=np.uint8)

@@ -50,6 +50,7 @@ from repro.sim.fastcore.kernels import (
     TableKernel,
     TageKernel,
     TournamentKernel,
+    _low_bits,
     group_events,
 )
 
@@ -514,3 +515,67 @@ def btb_misfetches(plan: ReplayPlan, mis: np.ndarray, target: np.ndarray,
                 del entries[0]
             entries.append(pc)
     return np.asarray(missed, dtype=np.int64)
+
+
+def jrs_confidence(plan: ReplayPlan, correct: np.ndarray,
+                   estimator) -> np.ndarray:
+    """Confidence of every prediction under a JRS resetting-counter table.
+
+    ``correct`` holds the replay's per-branch outcome (a squashed branch
+    reads ``True``) and ``estimator`` is a
+    :class:`~repro.predictors.confidence.ConfidenceEstimator`, whose
+    table trains in place.  Returns a per-branch ``bool`` array: the
+    counter at ``(pc ^ ghr) & mask`` stood at or above the threshold
+    when the branch predicted (always ``False`` for squashed branches,
+    which never consult the estimator).
+
+    Like the BTB pass, a post-pass over the finished replay: every
+    prediction's correctness is known, so each counter's history is
+    fixed.  A counter only sees the predictions that index it; grouped
+    by counter (stream order within a counter), its value before an
+    event is its start value plus the events since the group's start,
+    or the events since its last misprediction, saturating at the
+    ceiling.  Only the counters the stream touches are read from, and
+    written back to, the estimator's table.
+    """
+    confident = np.zeros(plan.n, dtype=bool)
+    reads = (
+        np.flatnonzero(~plan.squash)
+        if plan.squash is not None
+        else np.arange(plan.n)
+    )
+    count = int(reads.shape[0])
+    if count == 0:
+        return confident
+    mask = estimator.mask
+    idx = _low_bits(plan.ghr[reads], mask)
+    idx ^= plan.pc[reads]
+    idx &= mask
+    order, key, hit = group_events(
+        idx, mask, correct[reads].astype(np.uint8)
+    )
+    pos = np.arange(count)
+    new = np.empty(count, dtype=bool)
+    new[0] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    heads = np.flatnonzero(new)
+    table = estimator.table
+    # A counter restarts from its start value at its first event and
+    # from zero after each misprediction; ``anchor`` is the latest
+    # restart at or before every event.
+    restart = np.zeros(count, dtype=np.int64)
+    restart[heads] = list(map(table.__getitem__, key[heads].tolist()))
+    anchor = np.where(new, pos, 0)
+    anchor[1:] = np.maximum(anchor[1:], np.where(hit[:-1] == 0, pos[1:], 0))
+    np.maximum.accumulate(anchor, out=anchor)
+    value = np.minimum(restart[anchor] + (pos - anchor), estimator.ceiling)
+    confident[reads[order]] = value >= estimator.threshold
+    tails = np.empty_like(heads)
+    tails[:-1] = heads[1:] - 1
+    tails[-1] = count - 1
+    final = np.where(
+        hit[tails] != 0, np.minimum(value[tails] + 1, estimator.ceiling), 0
+    )
+    for i, v in zip(key[heads].tolist(), final.tolist()):
+        table[i] = v
+    return confident

@@ -11,7 +11,9 @@ fast core (kernel replay, then one vectorised pass over the estimator
 table) and once through the per-branch loop kept in
 ``tests/confidence_oracle.py``.  Each side's fastest of three passes
 counts; replay plans are decoded in an untimed warm-up pass, so the
-fast side times replay and the confidence pass only.
+fast side times replay and the confidence pass only.  The process-wide
+plan cache holds 8 plans, so the bench widens it to the grid's 45 for
+the warm-up to last.
 
 * ``bench_confidence_gate`` — every :class:`ConfidenceResult` and
   final estimator table must be bit-identical, and the plan-based pass
@@ -28,7 +30,7 @@ from benchmarks.conftest import BENCH_SCALE, emit_gate, run_once
 from repro.experiments.e14_confidence import CONFIGS
 from repro.predictors import make_predictor
 from repro.predictors.confidence import ConfidenceEstimator
-from repro.sim import use_core
+from repro.sim import fastcore, use_core
 from repro.sim.confidence import simulate_with_confidence
 from repro.workloads import all_workloads
 from tests.confidence_oracle import oracle_confidence
@@ -55,10 +57,11 @@ def _pass(classify, traces):
     return time.perf_counter() - start, outputs
 
 
-def bench_confidence_gate(benchmark):
+def bench_confidence_gate(benchmark, monkeypatch):
     """Plan-based confidence >= 3x the per-branch oracle, identically."""
     traces = [w.trace(scale=BENCH_SCALE) for w in all_workloads()]
     points = len(traces) * len(CONFIGS)
+    monkeypatch.setattr(fastcore, "_PLAN_CACHE_LIMIT", points)
     branches = sum(trace.num_branches for trace in traces) * len(CONFIGS)
     best = {}
     identical = []

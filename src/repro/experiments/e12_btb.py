@@ -37,23 +37,24 @@ def run(scale: str = "small", workloads=None, fast: bool = False,
     )
     model = CostModel()
     both = {"sfp": SFPConfig(), "pgu": PGUConfig()}
-    # Loaded once for every geometry: the replay plan ignores the BTB,
-    # so on the fast cores the geometries also share one decode.
-    traces = [
-        (workload.trace(scale=scale, hyperblocks=False),
-         workload.trace(scale=scale, hyperblocks=True))
-        for workload in suite_workloads(workloads)
-    ]
-    rows = []
-    for sets, ways in geometries:
-        btb = BTBConfig(sets=sets, ways=ways)
-        totals = {
+    btbs = [BTBConfig(sets=sets, ways=ways) for sets, ways in geometries]
+    # One accumulator per geometry, each summed in trace order.
+    totals = [
+        {
             "base_misfetch": [0, 0],
             "hyper_misfetch": [0, 0],
             "hyper_both_misfetch": [0, 0],
         }
-        base_cycles = hyper_cycles = 0.0
-        for base_trace, hyper_trace in traces:
+        for _ in btbs
+    ]
+    base_cycles = [0.0] * len(btbs)
+    hyper_cycles = [0.0] * len(btbs)
+    # Trace-major: the replay plan ignores the BTB, so on the fast cores
+    # a trace's geometries run back to back on its three cached plans.
+    for workload in suite_workloads(workloads):
+        base_trace = workload.trace(scale=scale, hyperblocks=False)
+        hyper_trace = workload.trace(scale=scale, hyperblocks=True)
+        for g, btb in enumerate(btbs):
             base = simulate(
                 base_trace,
                 make_predictor("gshare", entries=entries),
@@ -69,24 +70,27 @@ def run(scale: str = "small", workloads=None, fast: bool = False,
                 make_predictor("gshare", entries=entries),
                 SimOptions(btb=btb, **both),
             )
-            totals["base_misfetch"][0] += base.misfetches
-            totals["base_misfetch"][1] += base.branches
-            totals["hyper_misfetch"][0] += hyper.misfetches
-            totals["hyper_misfetch"][1] += hyper.branches
-            totals["hyper_both_misfetch"][0] += treated.misfetches
-            totals["hyper_both_misfetch"][1] += treated.branches
-            base_cycles += model.cycles(
+            total = totals[g]
+            total["base_misfetch"][0] += base.misfetches
+            total["base_misfetch"][1] += base.branches
+            total["hyper_misfetch"][0] += hyper.misfetches
+            total["hyper_misfetch"][1] += hyper.branches
+            total["hyper_both_misfetch"][0] += treated.misfetches
+            total["hyper_both_misfetch"][1] += treated.branches
+            base_cycles[g] += model.cycles(
                 base.instructions, base.mispredictions, base.misfetches
             )
-            hyper_cycles += model.cycles(
+            hyper_cycles[g] += model.cycles(
                 treated.instructions, treated.mispredictions,
                 treated.misfetches,
             )
+    rows = []
+    for g, (sets, ways) in enumerate(geometries):
         row = {"btb": f"{sets}x{ways}"}
-        for key, (misfetches, branches) in totals.items():
+        for key, (misfetches, branches) in totals[g].items():
             row[key] = misfetches / branches if branches else 0.0
         row["techniques_speedup"] = (
-            base_cycles / hyper_cycles if hyper_cycles else 0.0
+            base_cycles[g] / hyper_cycles[g] if hyper_cycles[g] else 0.0
         )
         rows.append(row)
     return ExperimentResult(

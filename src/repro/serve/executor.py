@@ -11,10 +11,11 @@ comparable with the serial harness.
 
 Warm state amortized across requests, per worker process:
 
-* traces are fetched through the shared on-disk
-  :class:`~repro.trace.TraceCache` (cross-process warmth) *and* memoized
-  decoded in :data:`_TRACE_MEMO` (per-worker warmth — repeat requests
-  skip the npz decode entirely);
+* traces are fetched through :meth:`Workload.trace
+  <repro.workloads.base.Workload.trace>`: the shared on-disk
+  :class:`~repro.trace.TraceCache` gives cross-process warmth, and its
+  process-wide decoded-trace memo lets repeat requests skip the npz
+  decode entirely;
 * the fast-core replay-plan cache inside :mod:`repro.sim.fastcore`
   persists with the process, so pre-decoded plans are reused too.
 
@@ -29,7 +30,7 @@ how the sweep engine threads the parent's resolution into its workers.
 import os
 import time
 from contextlib import ExitStack
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.profiler.collector import AggregatingCollector
 from repro.profiler.spec import ProfileSpec
@@ -42,30 +43,16 @@ from repro.telemetry import MetricsRegistry, span, tracing, use_registry
 from repro.trace.container import Trace
 from repro.workloads import get_workload
 
-#: Per-worker decoded-trace memo: (workload, scale, hyperblocks) -> Trace.
-_TRACE_MEMO: Dict[Tuple[str, str, bool], Trace] = {}
-
-#: Memo bound; tiny/small traces are a few MB so this stays modest.
-_TRACE_MEMO_MAX = 32
-
-
 def init_worker(core: str) -> None:
     """Pool initializer: pin the daemon's resolved core in the worker."""
     os.environ[CORE_ENV] = core
 
 
 def _trace(workload: str, scale: str, baseline: bool) -> Trace:
-    key = (workload, scale, not baseline)
-    trace = _TRACE_MEMO.get(key)
-    if trace is None:
-        with span("serve-trace-load", workload=workload, scale=scale):
-            trace = get_workload(workload).trace(
-                scale=scale, hyperblocks=not baseline
-            )
-        if len(_TRACE_MEMO) >= _TRACE_MEMO_MAX:
-            _TRACE_MEMO.pop(next(iter(_TRACE_MEMO)))
-        _TRACE_MEMO[key] = trace
-    return trace
+    with span("serve-trace-load", workload=workload, scale=scale):
+        return get_workload(workload).trace(
+            scale=scale, hyperblocks=not baseline
+        )
 
 
 def _exec_simulate(spec: dict, core: str) -> Dict[str, float]:

@@ -18,7 +18,10 @@ estimator by another (:func:`~repro.sim.fastcore.replay.jrs_confidence`,
 used by :func:`repro.sim.confidence.simulate_with_confidence`).
 """
 
+import threading
 import time
+import weakref
+from collections import OrderedDict
 from dataclasses import replace
 
 import numpy as np
@@ -76,7 +79,20 @@ def supported(predictor, options: SimOptions, collector=None) -> bool:
     return collector is None and kernelizable(predictor)
 
 
+#: Replay plans kept process-wide, least recently used out first:
+#: (id of the trace, options repr) -> (weak reference to the trace, plan).
 _PLAN_CACHE_LIMIT = 8
+_PLANS: "OrderedDict[tuple, tuple]" = OrderedDict()
+_PLANS_LOCK = threading.Lock()
+
+
+def _reads_distance(options: SimOptions) -> bool:
+    """Does the decode of ``options`` depend on ``options.distance``?"""
+    return (
+        options.sfp is not None
+        or options.delayed_update
+        or (options.pgu is not None and options.pgu.delay is None)
+    )
 
 
 def plan_for(trace, options: SimOptions) -> ReplayPlan:
@@ -84,21 +100,38 @@ def plan_for(trace, options: SimOptions) -> ReplayPlan:
 
     Pre-decode depends only on the trace and the simulation options,
     never on the predictor, so a sweep grid replaying one workload
-    under many predictors decodes it once.  Neither the BTB geometry
-    nor flag recording changes the decode, so the key drops both: BTB
-    sweeps share one plan per trace.  The cache lives on the trace
-    object and dies with it; a small cap guards against many-option
-    grids pinning plans for the trace's whole lifetime.
+    under many predictors decodes it once.  The key keeps only what the
+    decode reads: neither the BTB geometry nor flag recording changes
+    it, and ``distance`` matters only to SFP, to PGU without its own
+    delay and to delayed update — so BTB sweeps, and the distance
+    points of a plain predictor, share one plan per trace.  The cache
+    is one LRU of :data:`_PLAN_CACHE_LIMIT` plans for the whole
+    process.  It is keyed by the trace object's identity, checked
+    through a weak reference, so it never pins more than that many plans
+    however many traces stay alive, and a later object that reuses a
+    dead trace's id misses.
     """
-    cache = trace.__dict__.setdefault("_fastcore_plans", {})
-    options = replace(options, btb=None, record_flags=False)
-    key = repr(options)
-    plan = cache.get(key)
-    if plan is None:
-        plan = build_plan(trace, options)
-        while len(cache) >= _PLAN_CACHE_LIMIT:
-            cache.pop(next(iter(cache)))
-        cache[key] = plan
+    unused = {}
+    if options.btb is not None:
+        unused["btb"] = None
+    if options.record_flags:
+        unused["record_flags"] = False
+    if options.distance and not _reads_distance(options):
+        unused["distance"] = 0
+    if unused:
+        options = replace(options, **unused)
+    key = (id(trace), repr(options))
+    with _PLANS_LOCK:
+        entry = _PLANS.get(key)
+        if entry is not None and entry[0]() is trace:
+            _PLANS.move_to_end(key)
+            return entry[1]
+    plan = build_plan(trace, options)
+    with _PLANS_LOCK:
+        _PLANS[key] = (weakref.ref(trace), plan)
+        _PLANS.move_to_end(key)
+        while len(_PLANS) > _PLAN_CACHE_LIMIT:
+            _PLANS.popitem(last=False)
     return plan
 
 

@@ -61,9 +61,8 @@ class BranchTrace:
     def from_trace(cls, trace: Trace) -> "BranchTrace":
         """The trace's branch stream, built once per trace object.
 
-        Like the replay-plan cache, the result lives on the trace and
-        dies with it, so every plan decoded from one trace shares one
-        ``branch_classes()`` pass.
+        The result lives on the trace and dies with it, so every plan
+        decoded from one trace shares one ``branch_classes()`` pass.
         """
         branches = trace.__dict__.get("_fastcore_branches")
         if branches is not None:

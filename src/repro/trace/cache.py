@@ -15,19 +15,32 @@ workers all warming the same suite):
   exactly one build — the rest block briefly, then load the winner's
   file.
 
+Loaded traces are memoized process-wide (:data:`_MEMO`): a repeat
+request for a file is served from memory while the file's inode, size
+and modification time are unchanged, so one process reads each trace
+file once however many experiments, sweeps or serve jobs ask for it.
+The memo is an LRU bounded by :data:`MEMO_BYTES`; its arrays are
+read-only, since every requester shares them.  Traces a builder has
+just produced are not memoized: the next request loads the published
+file.
+
 Every instance counts its own traffic (:attr:`TraceCache.hits`,
 :attr:`TraceCache.misses`, :attr:`TraceCache.builds`) and mirrors the
-counts — plus lock-wait and build-time histograms — into the current
-:mod:`repro.telemetry` registry under ``trace_cache.*``.
+counts — plus memo hits and lock-wait and build-time histograms — into
+the current :mod:`repro.telemetry` registry under ``trace_cache.*``.
 """
 
 import hashlib
 import os
+import threading
 import time
 import uuid
+from collections import OrderedDict
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
+
+import numpy as np
 
 from repro import telemetry
 from repro.telemetry import span
@@ -48,6 +61,100 @@ def default_cache_dir() -> Path:
     if env:
         return Path(env)
     return Path.home() / ".cache" / "repro-traces"
+
+
+#: Byte budget of the decoded-trace memo.  Every tiny trace run-all
+#: reads (41 files, about 29 MB of arrays) fits, and so does the small
+#: suite (30 traces, about 195 MB).
+MEMO_BYTES = 256 << 20
+
+#: What identifies one version of a file: (inode, size, mtime in ns).
+Stamp = Tuple[int, int, int]
+
+
+def _stamp(path: str) -> Optional[Stamp]:
+    """The file's current stamp, or ``None`` if it does not exist."""
+    try:
+        info = os.stat(path)
+    except OSError:
+        return None
+    return info.st_ino, info.st_size, info.st_mtime_ns
+
+
+def _freeze(trace: Trace) -> int:
+    """Make the trace's arrays read-only; returns their total bytes."""
+    size = 0
+    for value in vars(trace).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+            size += value.nbytes
+    return size
+
+
+class _TraceMemo:
+    """Thread-safe LRU of loaded traces, keyed by absolute file path and
+    bounded by the bytes of their arrays."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.nbytes = 0
+        #: path -> (stamp, trace, bytes), least recently used first
+        self._entries: "OrderedDict[str, Tuple[Stamp, Trace, int]]" = (
+            OrderedDict()
+        )
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, path: str, stamp: Optional[Stamp]) -> Optional[Trace]:
+        """The trace loaded from ``path`` while it had ``stamp``; a
+        stale entry is dropped."""
+        with self._lock:
+            entry = self._entries.get(path)
+            if entry is None:
+                return None
+            if entry[0] != stamp:
+                self._drop(path)
+                return None
+            self._entries.move_to_end(path)
+            return entry[1]
+
+    def put(self, path: str, stamp: Stamp, trace: Trace) -> None:
+        size = _freeze(trace)
+        if size > self.limit:
+            return
+        with self._lock:
+            if path in self._entries:
+                self._drop(path)
+            self._entries[path] = (stamp, trace, size)
+            self.nbytes += size
+            while self.nbytes > self.limit:
+                self._drop(next(iter(self._entries)))
+
+    def discard(self, directory: str) -> None:
+        """Forget every entry for a file in ``directory``."""
+        with self._lock:
+            for path in [p for p in self._entries
+                         if os.path.dirname(p) == directory]:
+                self._drop(path)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.nbytes = 0
+
+    def _drop(self, path: str) -> None:
+        self.nbytes -= self._entries.pop(path)[2]
+
+
+#: The process-wide memo behind every :class:`TraceCache`.
+_MEMO = _TraceMemo(MEMO_BYTES)
+
+
+def clear_memo() -> None:
+    """Empty the process-wide trace memo (the files stay on disk)."""
+    _MEMO.clear()
 
 
 class TraceCache:
@@ -96,27 +203,41 @@ class TraceCache:
             finally:
                 fcntl.flock(handle, fcntl.LOCK_UN)
 
-    def _load(self, key: str) -> Optional[Trace]:
-        """Load ``key`` without touching the hit/miss counters."""
-        path = self.key_path(key)
-        if not path.exists():
-            return None
+    def _load(self, key: str) -> Tuple[Optional[Trace], bool]:
+        """Load ``key`` without touching the hit/miss counters.
+
+        Returns the trace (``None`` on a miss) and whether the memo
+        served it without reading the file.
+        """
+        path = os.path.abspath(self.key_path(key))
+        stamp = _stamp(path)
+        trace = _MEMO.get(path, stamp)
+        if trace is not None:
+            return trace, True
+        if stamp is None:
+            return None, False
         try:
-            return Trace.load(path)
+            trace = Trace.load(path)
         except Exception:
             # A truncated or stale file is treated as a miss.
-            path.unlink(missing_ok=True)
-            return None
+            Path(path).unlink(missing_ok=True)
+            return None, False
+        # Memoize only if no writer replaced the file mid-load.
+        if _stamp(path) == stamp:
+            _MEMO.put(path, stamp, trace)
+        return trace, False
 
     def get(self, key: str) -> Optional[Trace]:
         """Return the cached trace for ``key``, or ``None``."""
-        trace = self._load(key)
+        trace, memoized = self._load(key)
         if trace is None:
             self.misses += 1
             self._count("trace_cache.misses")
         else:
             self.hits += 1
             self._count("trace_cache.hits")
+            if memoized:
+                self._count("trace_cache.memo_hits")
         return trace
 
     def put(self, key: str, trace: Trace) -> None:
@@ -152,7 +273,7 @@ class TraceCache:
         with self._key_lock(key):
             # Another process may have built while we waited on the lock;
             # that late load is not re-counted as a hit or miss.
-            trace = self._load(key)
+            trace, _ = self._load(key)
             if trace is None:
                 start = time.perf_counter()
                 trace = builder()
@@ -167,6 +288,7 @@ class TraceCache:
 
     def clear(self) -> int:
         """Delete all cached traces; returns the number removed."""
+        _MEMO.discard(os.path.abspath(self.directory))
         if not self.directory.exists():
             return 0
         removed = 0

@@ -161,12 +161,11 @@ def _run_one(exp_id: str, args) -> "ExperimentResult":  # noqa: F821
     params = run.__code__.co_varnames[: run.__code__.co_argcount]
     if "fast" in params:
         kwargs["fast"] = args.fast
-    workers = getattr(args, "workers", None)
-    if workers is not None and "workers" in params:
-        kwargs["workers"] = workers
+    if args.workers is not None and "workers" in params:
+        kwargs["workers"] = args.workers
     result = run(**kwargs)
-    fmt = getattr(args, "format", "table") or "table"
-    output = getattr(args, "output", None)
+    fmt = args.format
+    output = args.output
     if output:
         path = write_result(result, output, fmt if fmt != "table" else "csv")
         print(f"wrote {path}")
@@ -175,22 +174,17 @@ def _run_one(exp_id: str, args) -> "ExperimentResult":  # noqa: F821
     return result
 
 
-def _cmd_run_experiment(args) -> int:
-    label = get_experiment(args.id).SPEC.id
+def _cmd_run_experiments(args) -> int:
+    """``run``/``run-experiment`` (one experiment) and ``run-all``."""
+    if args.command == "run-all":
+        label, exp_ids = "run-all", experiment_ids()
+    else:
+        label = get_experiment(args.id).SPEC.id
+        exp_ids = [args.id]
     with _metrics_scope(args):
-        with use_core(getattr(args, "core", None)):
+        with use_core(args.core):
             with _record_scope(args, "experiment", label) as recorder:
-                result = _run_one(args.id, args)
-                if recorder is not None:
-                    recorder.add_experiment(result)
-    return 0
-
-
-def _cmd_run_all(args) -> int:
-    with _metrics_scope(args):
-        with use_core(getattr(args, "core", None)):
-            with _record_scope(args, "experiment", "run-all") as recorder:
-                for exp_id in experiment_ids():
+                for exp_id in exp_ids:
                     result = _run_one(exp_id, args)
                     if recorder is not None:
                         recorder.add_experiment(result)
@@ -840,62 +834,49 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list workloads/predictors/experiments")
 
+    # Flags of every subcommand that simulates: core choice, telemetry
+    # capture and run recording.
+    sim_flags = argparse.ArgumentParser(add_help=False)
+    sim_flags.add_argument("--core", default=None, choices=CORES,
+                           help="simulation core (default $REPRO_SIM_CORE "
+                                "or object); fast cores are bit-identical")
+    sim_flags.add_argument("--metrics", metavar="PATH",
+                           help="append telemetry events (JSONL) to PATH")
+    sim_flags.add_argument("--trace", metavar="PATH",
+                           help="trace the invocation; append span records "
+                                "(JSONL) to PATH for `repro trace show`")
+    sim_flags.add_argument("--record", action="store_true",
+                           help="append a RunRecord to the run-history "
+                                "store")
+    sim_flags.add_argument("--store", metavar="DIR",
+                           help="run-history store root (default "
+                                "$REPRO_RUNSTORE or .repro/runs)")
+    # ... plus those of the experiment runners.
+    exp_flags = argparse.ArgumentParser(add_help=False, parents=[sim_flags])
+    exp_flags.add_argument("--scale", default="small",
+                           choices=("tiny", "small", "ref"))
+    exp_flags.add_argument("--fast", action="store_true")
+    exp_flags.add_argument("--workloads", help="comma-separated subset")
+    exp_flags.add_argument("--workers", type=int, default=None,
+                           help="sweep worker processes (0 = all CPUs; "
+                                "default $REPRO_SWEEP_WORKERS or serial)")
+    exp_flags.add_argument("--format", default="table",
+                           choices=("table", "csv", "json"))
+    exp_flags.add_argument("--output",
+                           help="also write each export to this dir")
+
     for name, help_text in (
         ("run", "run one experiment"),
         ("run-experiment", "run one experiment (alias of `run`)"),
     ):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, parents=[exp_flags])
         p.add_argument("id", help="experiment id, e.g. E6")
-        p.add_argument("--scale", default="small",
-                       choices=("tiny", "small", "ref"))
-        p.add_argument("--fast", action="store_true")
-        p.add_argument("--workloads", help="comma-separated subset")
-        p.add_argument("--workers", type=int, default=None,
-                       help="sweep worker processes (0 = all CPUs; default "
-                            "$REPRO_SWEEP_WORKERS or serial)")
-        p.add_argument("--core", default=None, choices=CORES,
-                       help="simulation core (default $REPRO_SIM_CORE or "
-                            "object); fast cores are bit-identical")
-        p.add_argument("--format", default="table",
-                       choices=("table", "csv", "json"))
-        p.add_argument("--output", help="also write the export to this dir")
-        p.add_argument("--metrics", metavar="PATH",
-                       help="append telemetry events (JSONL) to PATH")
-        p.add_argument("--trace", metavar="PATH",
-                       help="trace the invocation; append span records "
-                            "(JSONL) to PATH for `repro trace show`")
-        p.add_argument("--record", action="store_true",
-                       help="append a RunRecord to the run-history store")
-        p.add_argument("--store", metavar="DIR",
-                       help="run-history store root (default "
-                            "$REPRO_RUNSTORE or .repro/runs)")
 
-    p = sub.add_parser("run-all", help="run every experiment")
-    p.add_argument("--scale", default="small",
-                   choices=("tiny", "small", "ref"))
-    p.add_argument("--fast", action="store_true")
-    p.add_argument("--workloads", help="comma-separated subset")
-    p.add_argument("--workers", type=int, default=None,
-                   help="sweep worker processes (0 = all CPUs; default "
-                        "$REPRO_SWEEP_WORKERS or serial)")
-    p.add_argument("--core", default=None, choices=CORES,
-                   help="simulation core (default $REPRO_SIM_CORE or "
-                        "object); fast cores are bit-identical")
-    p.add_argument("--format", default="table",
-                   choices=("table", "csv", "json"))
-    p.add_argument("--output", help="also write each export to this dir")
-    p.add_argument("--metrics", metavar="PATH",
-                   help="append telemetry events (JSONL) to PATH")
-    p.add_argument("--trace", metavar="PATH",
-                   help="trace the invocation; append span records "
-                        "(JSONL) to PATH for `repro trace show`")
-    p.add_argument("--record", action="store_true",
-                   help="append a RunRecord to the run-history store")
-    p.add_argument("--store", metavar="DIR",
-                   help="run-history store root (default "
-                        "$REPRO_RUNSTORE or .repro/runs)")
+    sub.add_parser("run-all", help="run every experiment",
+                   parents=[exp_flags])
 
-    p = sub.add_parser("simulate", help="one (workload, predictor) run")
+    p = sub.add_parser("simulate", help="one (workload, predictor) run",
+                       parents=[sim_flags])
     p.add_argument("workload", choices=workload_names())
     p.add_argument("--predictor", default="gshare",
                    choices=available_predictors())
@@ -905,21 +886,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distance", type=int, default=4)
     p.add_argument("--sfp", action="store_true")
     p.add_argument("--pgu", action="store_true")
-    p.add_argument("--core", default=None, choices=CORES,
-                   help="simulation core (default $REPRO_SIM_CORE or "
-                        "object); fast cores are bit-identical")
     p.add_argument("--baseline", action="store_true",
                    help="use the non-predicated compile")
-    p.add_argument("--metrics", metavar="PATH",
-                   help="append telemetry events (JSONL) to PATH")
-    p.add_argument("--trace", metavar="PATH",
-                   help="trace the invocation; append span records "
-                        "(JSONL) to PATH for `repro trace show`")
-    p.add_argument("--record", action="store_true",
-                   help="append a RunRecord to the run-history store")
-    p.add_argument("--store", metavar="DIR",
-                   help="run-history store root (default "
-                        "$REPRO_RUNSTORE or .repro/runs)")
 
     p = sub.add_parser("characterise", help="trace summary of a workload")
     p.add_argument("workload", choices=workload_names())
@@ -1181,9 +1149,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 _HANDLERS = {
     "list": _cmd_list,
-    "run": _cmd_run_experiment,
-    "run-experiment": _cmd_run_experiment,
-    "run-all": _cmd_run_all,
+    "run": _cmd_run_experiments,
+    "run-experiment": _cmd_run_experiments,
+    "run-all": _cmd_run_experiments,
     "simulate": _cmd_simulate,
     "characterise": _cmd_characterise,
     "hotspots": _cmd_hotspots,

@@ -1,7 +1,7 @@
 """Shared experiment infrastructure."""
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.sim.driver import SimOptions, SimResult
 from repro.sim.stats import format_result_table
@@ -91,35 +91,6 @@ def suite_traces(
         }
 
 
-def run_sweep(
-    traces: Dict[str, Trace],
-    predictor_factories: Dict[str, Callable],
-    options_grid: Iterable[SimOptions],
-    workers: Optional[int] = None,
-    progress: Optional[ProgressCallback] = None,
-    profile=None,
-    core: Optional[str] = None,
-) -> List[SimResult]:
-    """Run a sweep grid for an experiment (parallel when ``workers``>1).
-
-    Thin façade over :func:`repro.sim.sweep.sweep` so experiments share
-    one entry point for worker-count and progress plumbing.  ``profile``
-    (a :class:`~repro.profiler.ProfileSpec`) additionally attaches a
-    misprediction-attribution aggregator to every point's result;
-    ``core`` selects the simulation core (default: ambient context /
-    ``$REPRO_SIM_CORE`` / object).
-    """
-    return sweep(
-        traces,
-        predictor_factories,
-        options_grid,
-        workers=workers,
-        progress=progress,
-        profile=profile,
-        core=core,
-    )
-
-
 @dataclass
 class SuiteAggregate:
     """Suite-total counters accumulated across one option's results."""
@@ -157,7 +128,7 @@ def suite_option_aggregates(
     """
     labels = list(labeled_options)
     options_list = [labeled_options[label] for label in labels]
-    results = run_sweep(
+    results = sweep(
         traces,
         {"p": factory},
         options_list,

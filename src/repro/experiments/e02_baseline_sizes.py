@@ -8,11 +8,11 @@ from repro.experiments.common import (
     ExperimentResult,
     ExperimentSpec,
     arithmetic_mean,
-    run_sweep,
     suite_traces,
 )
 from repro.predictors import make_predictor
 from repro.sim import SimOptions
+from repro.sim.sweep import sweep
 
 SPEC = ExperimentSpec(
     id="E2",
@@ -35,7 +35,7 @@ def run(scale: str = "small", workloads=None, fast: bool = False,
         )
         for size in sizes
     }
-    results = run_sweep(traces, factories, [SimOptions()], workers=workers)
+    results = sweep(traces, factories, [SimOptions()], workers=workers)
     rows = []
     for i, name in enumerate(traces):
         row = {"workload": name}

@@ -9,11 +9,11 @@ from repro.experiments.common import (
     ExperimentResult,
     ExperimentSpec,
     arithmetic_mean,
-    run_sweep,
     suite_traces,
 )
 from repro.predictors import PGUConfig, make_predictor
 from repro.sim import SimOptions
+from repro.sim.sweep import sweep
 
 SPEC = ExperimentSpec(
     id="E5",
@@ -37,7 +37,7 @@ def run(scale: str = "small", workloads=None, fast: bool = False,
         for size in sizes
     }
     grid = [SimOptions(), SimOptions(pgu=PGUConfig())]
-    results = run_sweep(traces, factories, grid, workers=workers)
+    results = sweep(traces, factories, grid, workers=workers)
     rows = []
     # Results nest (trace, size, option): base and pgu alternate.
     for i, name in enumerate(traces):

@@ -4,11 +4,11 @@ from repro.experiments.common import (
     ExperimentResult,
     ExperimentSpec,
     arithmetic_mean,
-    run_sweep,
     suite_traces,
 )
 from repro.predictors import PGUConfig, SFPConfig, make_predictor
 from repro.sim import SimOptions
+from repro.sim.sweep import sweep
 
 SPEC = ExperimentSpec(
     id="E6",
@@ -32,7 +32,7 @@ def run(scale: str = "small", workloads=None, entries: int = 1024,
     factories = {
         "gshare": lambda: make_predictor("gshare", entries=entries)
     }
-    results = run_sweep(
+    results = sweep(
         traces, factories, list(CONFIGS.values()), workers=workers
     )
     rows = []

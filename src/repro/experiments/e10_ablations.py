@@ -38,42 +38,45 @@ SPEC = ExperimentSpec(
 SCHED_WORKLOADS = ("compress", "grep", "nbody")
 
 
+#: The front-end variants of the ablation table, in row order.
+VARIANTS = {
+    "none": SimOptions(),
+    # SFP policy space.
+    "sfp/filter+shift": SimOptions(sfp=SFPConfig()),
+    "sfp/train-pht": SimOptions(sfp=SFPConfig(update_pht=True)),
+    "sfp/skip-history": SimOptions(sfp=SFPConfig(update_history=False)),
+    # Extension: squash both directions once the guard is resolved.
+    "sfp/both-dirs": SimOptions(sfp=SFPConfig(squash_known_true=True)),
+    # Trainer latency: tables update at resolve, not at predict.
+    "train/delayed": SimOptions(delayed_update=True),
+    "train/delayed+both": SimOptions(
+        delayed_update=True, sfp=SFPConfig(), pgu=PGUConfig()
+    ),
+    # PGU insertion policy.
+    "pgu/delay=D": SimOptions(pgu=PGUConfig()),
+    "pgu/delay=0": SimOptions(pgu=PGUConfig(delay=0)),
+    "pgu/delay=2D": SimOptions(pgu=PGUConfig(delay=8)),
+    "pgu/guards-only": SimOptions(pgu=PGUConfig(which="guards_only")),
+    # History length with/without predicate bits.
+    **{
+        f"hist{bits}/{name}": SimOptions(history_bits=bits, pgu=pgu)
+        for bits in (8, 16, 32)
+        for name, pgu in (("plain", None), ("pgu", PGUConfig()))
+    },
+}
+
+
 def run(scale: str = "small", workloads=None, fast: bool = False,
         entries: int = 1024, workers=None) -> ExperimentResult:
     traces = suite_traces(scale=scale, workloads=workloads)
     factory = lambda: make_predictor("gshare", entries=entries)  # noqa: E731
 
-    labeled = {
-        "none": SimOptions(),
-        # SFP policy space.
-        "sfp/filter+shift": SimOptions(sfp=SFPConfig()),
-        "sfp/train-pht": SimOptions(sfp=SFPConfig(update_pht=True)),
-        "sfp/skip-history": SimOptions(sfp=SFPConfig(update_history=False)),
-        # Extension: squash both directions once the guard is resolved.
-        "sfp/both-dirs": SimOptions(sfp=SFPConfig(squash_known_true=True)),
-        # Trainer latency: tables update at resolve, not at predict.
-        "train/delayed": SimOptions(delayed_update=True),
-        "train/delayed+both": SimOptions(
-            delayed_update=True, sfp=SFPConfig(), pgu=PGUConfig()
-        ),
-        # PGU insertion policy.
-        "pgu/delay=D": SimOptions(pgu=PGUConfig()),
-        "pgu/delay=0": SimOptions(pgu=PGUConfig(delay=0)),
-        "pgu/delay=2D": SimOptions(pgu=PGUConfig(delay=8)),
-        "pgu/guards-only": SimOptions(pgu=PGUConfig(which="guards_only")),
-    }
-    # History length with/without predicate bits.
-    for bits in (8, 16, 32):
-        labeled[f"hist{bits}/plain"] = SimOptions(history_bits=bits)
-        labeled[f"hist{bits}/pgu"] = SimOptions(
-            history_bits=bits, pgu=PGUConfig()
-        )
     aggregates = suite_option_aggregates(
-        traces, labeled, factory, workers=workers
+        traces, VARIANTS, factory, workers=workers
     )
     rows = [
         {"config": config, "misprediction": aggregates[config].rate}
-        for config in labeled
+        for config in VARIANTS
     ]
     if not fast:
         # Compiler scheduling ablation: recompile a subset without the

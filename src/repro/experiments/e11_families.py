@@ -9,11 +9,11 @@ benefit from SFP's certain squashes.
 from repro.experiments.common import (
     ExperimentResult,
     ExperimentSpec,
-    run_sweep,
     suite_traces,
 )
 from repro.predictors import PGUConfig, SFPConfig, make_predictor
 from repro.sim import SimOptions
+from repro.sim.sweep import sweep
 
 SPEC = ExperimentSpec(
     id="E11",
@@ -49,7 +49,7 @@ def run(scale: str = "small", workloads=None, fast: bool = False,
         for family in names
     }
     grid = [SimOptions(), SimOptions(sfp=SFPConfig(), pgu=PGUConfig())]
-    results = run_sweep(traces, factories, grid, workers=workers)
+    results = sweep(traces, factories, grid, workers=workers)
     rows = []
     # Results nest (trace, family, option); fold the trace axis into
     # suite totals per family.

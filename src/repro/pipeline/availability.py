@@ -12,10 +12,14 @@ the perfect-predicate-knowledge bound).
 
 This single parameter stands in for the authors' concrete pipeline: any
 machine maps onto some ``D``, and every paper mechanism consumes
-availability only through this interface.
+availability only through this interface.  :func:`squash_mask` and
+:func:`pgu_defines` are the front end's two selection rules — which
+branches the squash filter handles and which predicate defines reach
+global history — and every simulation core applies exactly these.
 """
 
 from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -65,3 +69,47 @@ class AvailabilityModel:
                 false_known[region].sum() / region_total
             ),
         }
+
+
+def squash_mask(trace: Trace, options) -> Optional[np.ndarray]:
+    """Per-branch bool mask of the branches SFP squashes under
+    ``options`` (a :class:`~repro.sim.driver.SimOptions`); ``None``
+    without the filter.
+
+    The paper's filter squashes a guarded branch whose guard is known
+    false at fetch (it cannot be taken).  With ``squash_known_true``
+    any guarded branch whose guard is known either way is squashed:
+    the resolved guard fixes its direction.
+    """
+    sfp = options.sfp
+    if sfp is None:
+        return None
+    if sfp.squash_known_true:
+        return trace.guard_known(options.distance) & (trace.b_guard != 0)
+    return trace.guard_known_false(options.distance)
+
+
+def pgu_defines(
+    trace: Trace, options
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """``(d_idx, d_value, delay)`` of the predicate defines PGU shifts
+    into global history under ``options``.
+
+    A define written at ``d_idx`` becomes visible to the fetch of
+    dynamic instruction ``d_idx + delay``; ``delay`` is the PGU's own,
+    or the availability distance when it has none.  Under
+    ``which="guards_only"`` only writes to predicates that guard some
+    branch of the trace are kept.  Without PGU there are no defines.
+    """
+    pgu = options.pgu
+    if pgu is None:
+        return trace.d_idx[:0], trace.d_value[:0], 0
+    delay = options.distance if pgu.delay is None else pgu.delay
+    d_idx = trace.d_idx
+    d_value = trace.d_value
+    if pgu.which == "guards_only":
+        guards = np.unique(trace.b_guard[trace.b_guard > 0])
+        keep = np.isin(trace.d_pred, guards)
+        d_idx = d_idx[keep]
+        d_value = d_value[keep]
+    return d_idx, d_value, delay

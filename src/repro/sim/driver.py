@@ -19,7 +19,11 @@ from typing import Optional
 import numpy as np
 
 from repro import telemetry
-from repro.pipeline.availability import DEFAULT_DISTANCE, AvailabilityModel
+from repro.pipeline.availability import (
+    DEFAULT_DISTANCE,
+    pgu_defines,
+    squash_mask,
+)
 from repro.pipeline.btb import BTBConfig, BranchTargetBuffer
 from repro.pipeline.frontend import GlobalHistory
 from repro.predictors.base import BranchPredictor
@@ -234,43 +238,14 @@ def _simulate(
             "collector" if fastcore.kernelizable(predictor)
             else "predictor"
         )
-    availability = AvailabilityModel(options.distance)
     history = GlobalHistory(options.history_bits)
     sfp = options.sfp
     pgu = options.pgu
-
-    if sfp is None:
-        squashable = None
-    elif sfp.squash_known_true:
-        # Extension: any resolved guard determines the direction exactly
-        # (false -> not taken, true -> taken).
-        squashable = availability.guard_known_mask(trace) & (
-            trace.b_guard != 0
-        )
-    else:
-        squashable = availability.squashable_mask(trace)
-
-    # Predicate-define stream for PGU, filtered and with its delay fixed.
-    if pgu is not None:
-        delay = options.distance if pgu.delay is None else pgu.delay
-        d_idx = trace.d_idx
-        d_value = trace.d_value
-        if pgu.which == "guards_only":
-            guard_preds = set(int(g) for g in trace.b_guard if g > 0)
-            keep = [
-                k
-                for k in range(trace.num_pdefs)
-                if int(trace.d_pred[k]) in guard_preds
-            ]
-            d_idx = d_idx[keep]
-            d_value = d_value[keep]
-        d_idx = d_idx.tolist()
-        d_value = d_value.tolist()
-        num_defs = len(d_idx)
-    else:
-        delay = 0
-        d_idx = d_value = []
-        num_defs = 0
+    squashable = squash_mask(trace, options)
+    d_idx, d_value, delay = pgu_defines(trace, options)
+    d_idx = d_idx.tolist()
+    d_value = d_value.tolist()
+    num_defs = len(d_idx)
 
     b_pc = trace.b_pc.tolist()
     b_idx = trace.b_idx.tolist()
@@ -437,33 +412,6 @@ def _simulate(
                 i, j, predicted, taken, _SFP_NOT_FILTERED, CONF_UNKNOWN
             )
 
-    branches = len(b_pc)
-    if telemetry.enabled():
-        # Coarse end-of-run counters only: the per-branch loop above is
-        # the hot path and stays uninstrumented.
-        registry = telemetry.get_registry()
-        registry.counter("sim.runs").inc()
-        registry.counter("sim.instructions").inc(trace.meta.instructions)
-        registry.counter("sim.branches").inc(branches)
-        registry.counter("sim.predicts").inc(branches - squashed)
-        updates = pptr if delayed else branches - squashed
-        if sfp is not None and sfp.update_pht:
-            updates += squashed
-        registry.counter("sim.updates").inc(updates)
-        registry.counter("sim.mispredictions").inc(mispredictions)
-        registry.counter("sim.squashed").inc(squashed)
-        registry.counter("sim.misfetches").inc(misfetches)
-        for branch_class, stats in per_class.items():
-            prefix = f"sim.class.{branch_class.name.lower()}"
-            registry.counter(f"{prefix}.branches").inc(stats.branches)
-            registry.counter(f"{prefix}.mispredictions").inc(
-                stats.mispredictions
-            )
-            registry.counter(f"{prefix}.squashed").inc(stats.squashed)
-        registry.counter("sim.core.object").inc()
-        if fallback is not None:
-            registry.counter(f"sim.fallback.{fallback}").inc()
-
     # Duck-typed: any collector that exposes an `aggregator` (e.g.
     # AggregatingCollector, or a Tee wrapping one) rides back on the
     # result, which is how sweep workers ship attribution to the parent.
@@ -472,7 +420,7 @@ def _simulate(
         if collector is not None
         else None
     )
-    return SimResult(
+    result = SimResult(
         predictor=predictor.name,
         options=options,
         workload=trace.meta.workload or "<trace>",
@@ -493,3 +441,45 @@ def _simulate(
         ),
         attribution=attribution,
     )
+    if telemetry.enabled():
+        # Coarse end-of-run counters only: the per-branch loop above is
+        # the hot path and stays uninstrumented.
+        registry = telemetry.get_registry()
+        record_sim_counters(registry, result, pptr)
+        registry.counter("sim.core.object").inc()
+        if fallback is not None:
+            registry.counter(f"sim.fallback.{fallback}").inc()
+    return result
+
+
+def record_sim_counters(registry, result: SimResult,
+                        applied_delayed: int) -> None:
+    """Count one finished run into ``registry``'s ``sim.*`` counters.
+
+    Every core records exactly this set, so merged sweep registries are
+    identical whichever core ran each point; the caller adds only the
+    counters naming its path (``sim.core.<used>``,
+    ``sim.fallback.<reason>``).  ``applied_delayed`` is the number of
+    delayed updates that reached the tables before the trace ended
+    (read only under ``delayed_update``).
+    """
+    options = result.options
+    predicts = result.branches - result.squashed
+    updates = applied_delayed if options.delayed_update else predicts
+    if options.sfp is not None and options.sfp.update_pht:
+        updates += result.squashed
+    registry.counter("sim.runs").inc()
+    registry.counter("sim.instructions").inc(result.instructions)
+    registry.counter("sim.branches").inc(result.branches)
+    registry.counter("sim.predicts").inc(predicts)
+    registry.counter("sim.updates").inc(updates)
+    registry.counter("sim.mispredictions").inc(result.mispredictions)
+    registry.counter("sim.squashed").inc(result.squashed)
+    registry.counter("sim.misfetches").inc(result.misfetches)
+    for branch_class, stats in result.per_class.items():
+        prefix = f"sim.class.{branch_class.name.lower()}"
+        registry.counter(f"{prefix}.branches").inc(stats.branches)
+        registry.counter(f"{prefix}.mispredictions").inc(
+            stats.mispredictions
+        )
+        registry.counter(f"{prefix}.squashed").inc(stats.squashed)

@@ -27,13 +27,14 @@ from dataclasses import replace
 import numpy as np
 
 from repro import telemetry
-from repro.sim.driver import BranchFlags, SimOptions, SimResult
-from repro.sim.fastcore.batch import batch_replay, batch_supported
-from repro.sim.fastcore.decode import BranchTrace, ReplayPlan, build_plan
-from repro.sim.fastcore.differential import (
-    DivergenceReport,
-    differential_check,
+from repro.sim.driver import (
+    BranchFlags,
+    SimOptions,
+    SimResult,
+    record_sim_counters,
 )
+from repro.sim.fastcore.batch import batch_replay, batch_supported
+from repro.sim.fastcore.decode import ReplayPlan, build_plan
 from repro.sim.fastcore.kernels import (
     KERNEL_BUILDERS,
     KernelError,
@@ -49,8 +50,6 @@ from repro.sim.stats import ClassStats
 from repro.trace.container import BranchClass
 
 __all__ = [
-    "BranchTrace",
-    "DivergenceReport",
     "KERNEL_BUILDERS",
     "KernelError",
     "ReplayPlan",
@@ -58,7 +57,6 @@ __all__ = [
     "batch_supported",
     "btb_misfetches",
     "build_plan",
-    "differential_check",
     "fast_replay",
     "jrs_confidence",
     "kernel_from_predictor",
@@ -140,21 +138,16 @@ def run_fast(
     predictor,
     options: SimOptions = SimOptions(),
     core: str = "fast",
-    kernel=None,
-    require: bool = False,
 ) -> SimResult:
     """Simulate on a flat kernel; bit-identical to the object core.
 
-    ``kernel`` overrides the fresh kernel built from ``predictor``
-    (the differential harness uses this to inject corrupted state).
     ``core="numpy"`` uses the batched backend when the kernel supports
-    it, silently dropping to the scalar fast loop otherwise — unless
-    ``require`` is set, in which case the mismatch raises.
+    it and the scalar fast loop otherwise; the ``sim.core.<used>``
+    counter names the one that ran.
     """
     if core not in ("fast", "numpy"):
         raise ValueError(f"run_fast cannot execute core {core!r}")
-    if kernel is None:
-        kernel = kernel_from_predictor(predictor)
+    kernel = kernel_from_predictor(predictor)
     start = time.perf_counter()
     # Trace-only annotation (no registry instruments): the fastcore.*
     # counter set below must stay identical with tracing on or off.
@@ -164,30 +157,22 @@ def run_fast(
         kernel=kernel.name,
     ):
         plan = plan_for(trace, options)
-        used = core
-        if core == "numpy" and not batch_supported(kernel):
-            if require:
-                raise KernelError(
-                    f"kernel {kernel.name} has no numpy backend"
-                )
-            used = "fast"
-        if used == "numpy":
+        if core == "numpy" and batch_supported(kernel):
+            used = "numpy"
             mis = batch_replay(kernel, plan)
         else:
+            used = "fast"
             mis = fast_replay(kernel, plan)
     wall = time.perf_counter() - start
 
     n = plan.n
-    mispredictions = int(mis.shape[0])
     squash = plan.squash
-    squashed = int(squash.sum()) if squash is not None else 0
     if options.btb is not None:
         misfetched = btb_misfetches(
             plan, mis, trace.b_target, options.btb
         )
     else:
         misfetched = np.zeros(0, dtype=np.int64)
-    misfetches = int(misfetched.shape[0])
 
     branch_counts = np.bincount(plan.cls, minlength=3)
     mis_counts = np.bincount(plan.cls[mis], minlength=3)
@@ -206,40 +191,6 @@ def run_fast(
         )
     }
 
-    sfp = options.sfp
-    if telemetry.enabled():
-        # Mirror the driver's end-of-run counters exactly, so merged
-        # sweep registries are identical across cores; then add the
-        # fast-core extras.
-        registry = telemetry.get_registry()
-        registry.counter("sim.runs").inc()
-        registry.counter("sim.instructions").inc(plan.instructions)
-        registry.counter("sim.branches").inc(n)
-        registry.counter("sim.predicts").inc(n - squashed)
-        updates = (
-            plan.applied_updates
-            if options.delayed_update
-            else n - squashed
-        )
-        if sfp is not None and sfp.update_pht:
-            updates += squashed
-        registry.counter("sim.updates").inc(updates)
-        registry.counter("sim.mispredictions").inc(mispredictions)
-        registry.counter("sim.squashed").inc(squashed)
-        registry.counter("sim.misfetches").inc(misfetches)
-        for branch_class, stats in per_class.items():
-            prefix = f"sim.class.{branch_class.name.lower()}"
-            registry.counter(f"{prefix}.branches").inc(stats.branches)
-            registry.counter(f"{prefix}.mispredictions").inc(
-                stats.mispredictions
-            )
-            registry.counter(f"{prefix}.squashed").inc(stats.squashed)
-        registry.counter(f"sim.core.{used}").inc()
-        if wall > 0.0:
-            registry.gauge("fastcore.replay_branches_per_second").set(
-                n / wall
-            )
-
     flags = None
     if options.record_flags:
         correct = np.ones(n, dtype=bool)
@@ -256,16 +207,25 @@ def run_fast(
             misfetch=misfetch,
         )
 
-    return SimResult(
+    result = SimResult(
         predictor=predictor.name,
         options=options,
         workload=plan.workload,
         instructions=plan.instructions,
         branches=n,
-        mispredictions=mispredictions,
-        squashed=squashed,
+        mispredictions=int(mis.shape[0]),
+        squashed=int(squash.sum()) if squash is not None else 0,
         per_class=per_class,
-        misfetches=misfetches,
+        misfetches=int(misfetched.shape[0]),
         flags=flags,
         attribution=None,
     )
+    if telemetry.enabled():
+        registry = telemetry.get_registry()
+        record_sim_counters(registry, result, plan.applied_updates)
+        registry.counter(f"sim.core.{used}").inc()
+        if wall > 0.0:
+            registry.gauge("fastcore.replay_branches_per_second").set(
+                n / wall
+            )
+    return result

@@ -11,15 +11,15 @@ counter-table state remains serial, and that is what the replay loops
 (:mod:`repro.sim.fastcore.replay`) and the segmented-scan backend
 (:mod:`repro.sim.fastcore.batch`) handle.
 
-Two layers:
-
-* :class:`BranchTrace` — the option-independent structure-of-arrays
-  branch stream (the seed of the ROADMAP's external trace format).
-* :class:`ReplayPlan` — one (BranchTrace, SimOptions) decode: per-branch
-  predict-time history values, squash mask, branch classes, and the
-  merged *event stream* (reads, delayed-update applications, squash
-  train-PHT updates) in exactly the order the reference driver would
-  perform them.
+A :class:`ReplayPlan` is one (trace, SimOptions) decode: per-branch
+predict-time history values, squash mask, branch classes, and the
+merged *event stream* (reads, delayed-update applications, squash
+train-PHT updates) in exactly the order the reference driver would
+perform them.  Which branches are squashed and which predicate defines
+enter history are the front end's rules
+(:func:`~repro.pipeline.availability.squash_mask`,
+:func:`~repro.pipeline.availability.pgu_defines`), shared with the
+driver; this module only applies them.
 """
 
 from dataclasses import dataclass
@@ -27,65 +27,9 @@ from typing import Optional
 
 import numpy as np
 
+from repro.pipeline.availability import pgu_defines, squash_mask
 from repro.sim.driver import SimOptions
 from repro.trace.container import Trace
-
-
-@dataclass
-class BranchTrace:
-    """Option-independent flat branch stream of one executed workload.
-
-    Branch arrays (fetch order): ``pc`` (static index), ``idx`` (dynamic
-    instruction index), ``taken`` (outcome), ``target`` (taken target,
-    -1 when the trace has none, e.g. returns), ``guard`` (qualifying
-    predicate, 0 = p0), ``guard_def`` (dynamic index of the guard's
-    defining write, -1 if never written), ``cls``
-    (:class:`~repro.trace.container.BranchClass` value).  Define arrays
-    (execution order): ``d_idx``, ``d_value``, ``d_pred``.
-    """
-
-    pc: np.ndarray
-    idx: np.ndarray
-    taken: np.ndarray
-    target: np.ndarray
-    guard: np.ndarray
-    guard_def: np.ndarray
-    cls: np.ndarray
-    d_idx: np.ndarray
-    d_value: np.ndarray
-    d_pred: np.ndarray
-    workload: str = ""
-    instructions: int = 0
-
-    @classmethod
-    def from_trace(cls, trace: Trace) -> "BranchTrace":
-        """The trace's branch stream, built once per trace object.
-
-        The result lives on the trace and dies with it, so every plan
-        decoded from one trace shares one ``branch_classes()`` pass.
-        """
-        branches = trace.__dict__.get("_fastcore_branches")
-        if branches is not None:
-            return branches
-        branches = trace.__dict__["_fastcore_branches"] = cls(
-            pc=trace.b_pc,
-            idx=trace.b_idx,
-            taken=trace.b_taken,
-            target=trace.b_target,
-            guard=trace.b_guard,
-            guard_def=trace.b_guard_def,
-            cls=trace.branch_classes(),
-            d_idx=trace.d_idx,
-            d_value=trace.d_value,
-            d_pred=trace.d_pred,
-            workload=trace.meta.workload or "<trace>",
-            instructions=trace.meta.instructions,
-        )
-        return branches
-
-    @property
-    def num_branches(self) -> int:
-        return int(self.pc.shape[0])
 
 
 @dataclass
@@ -116,43 +60,7 @@ class ReplayPlan:
         return values[self.ev_branch]
 
 
-def _squash_mask(bt: BranchTrace, options: SimOptions):
-    """Squash mask (:class:`~repro.pipeline.availability.AvailabilityModel`
-    semantics) computed from the flat arrays."""
-    sfp = options.sfp
-    if sfp is None:
-        return None
-    resolved = (bt.guard_def >= 0) & (
-        bt.idx - bt.guard_def >= options.distance
-    )
-    guarded = bt.guard != 0
-    if sfp.squash_known_true:
-        return resolved & guarded
-    return resolved & ~bt.taken.astype(bool) & guarded
-
-
-def _pgu_defines(bt: BranchTrace, options: SimOptions):
-    """(visible-at-branch positions, bit values) of the kept defines."""
-    pgu = options.pgu
-    if pgu is None:
-        return None
-    delay = options.distance if pgu.delay is None else pgu.delay
-    d_idx = bt.d_idx
-    d_value = bt.d_value
-    if pgu.which == "guards_only":
-        guard_preds = np.unique(bt.guard[bt.guard > 0]).astype(
-            bt.d_pred.dtype
-        )
-        keep = np.isin(bt.d_pred, guard_preds)
-        d_idx = d_idx[keep]
-        d_value = d_value[keep]
-    # First branch whose fetch sees the define: d_idx + delay <= b_idx.
-    visible_at = np.searchsorted(bt.idx, d_idx + delay, side="left")
-    in_range = visible_at < bt.num_branches
-    return visible_at[in_range], d_value[in_range]
-
-
-def _history_values(bt: BranchTrace, options: SimOptions,
+def _history_values(trace: Trace, options: SimOptions,
                     squash: Optional[np.ndarray]) -> np.ndarray:
     """Per-branch predict-time history, via one bit stream.
 
@@ -163,14 +71,12 @@ def _history_values(bt: BranchTrace, options: SimOptions,
     stream before its read position — the register's LSB is the most
     recent bit (:func:`bit_windows`).
     """
-    n = bt.num_branches
+    n = trace.num_branches
     length = options.history_bits
     if n == 0:
         return np.zeros(0, dtype=np.uint64)
 
-    if squash is None:
-        emits = np.ones(n, dtype=bool)
-    elif options.sfp.update_history:
+    if squash is None or options.sfp.update_history:
         emits = np.ones(n, dtype=bool)
     else:
         emits = ~squash
@@ -178,12 +84,12 @@ def _history_values(bt: BranchTrace, options: SimOptions,
     emits_excl = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(emits, out=emits_excl[1:])
 
-    defines = _pgu_defines(bt, options)
-    if defines is None:
-        visible_at = np.zeros(0, dtype=np.int64)
-        d_bits = np.zeros(0, dtype=bool)
-    else:
-        visible_at, d_bits = defines
+    d_idx, d_bits, delay = pgu_defines(trace, options)
+    # First branch whose fetch sees the define: d_idx + delay <= b_idx.
+    visible_at = np.searchsorted(trace.b_idx, d_idx + delay, side="left")
+    in_range = visible_at < n
+    visible_at = visible_at[in_range]
+    d_bits = d_bits[in_range]
     # defs_le[i] = defines shifted in by the time branch i predicts
     # (everything visible at or before i precedes i's own read).
     defs_le = np.cumsum(np.bincount(visible_at, minlength=n))
@@ -195,7 +101,7 @@ def _history_values(bt: BranchTrace, options: SimOptions,
     def_slots = np.arange(visible_at.shape[0]) + emits_excl[visible_at]
     bits[def_slots] = d_bits
     emit_idx = np.flatnonzero(emits)
-    bits[defs_le[emit_idx] + emits_excl[emit_idx]] = bt.taken[emit_idx]
+    bits[defs_le[emit_idx] + emits_excl[emit_idx]] = trace.b_taken[emit_idx]
 
     return bit_windows(
         bits, defs_le + emits_excl[:n], min(length, 64)
@@ -230,18 +136,13 @@ def bit_windows(bits: np.ndarray, read_pos: np.ndarray,
     return out
 
 
-def build_plan(trace, options: SimOptions) -> ReplayPlan:
+def build_plan(trace: Trace, options: SimOptions) -> ReplayPlan:
     """Decode one (trace, options) pair into a :class:`ReplayPlan`."""
-    bt = (
-        trace
-        if isinstance(trace, BranchTrace)
-        else BranchTrace.from_trace(trace)
-    )
-    n = bt.num_branches
-    squash = _squash_mask(bt, options)
-    ghr = _history_values(bt, options, squash)
-    taken = bt.taken.astype(np.uint8)
-    pc = bt.pc.astype(np.int64, copy=False)  # no copy when int64
+    n = trace.num_branches
+    squash = squash_mask(trace, options)
+    ghr = _history_values(trace, options, squash)
+    taken = trace.b_taken.astype(np.uint8)
+    pc = trace.b_pc.astype(np.int64, copy=False)  # no copy when int64
 
     sfp = options.sfp
     train_squashed = sfp is not None and sfp.update_pht
@@ -275,8 +176,8 @@ def build_plan(trace, options: SimOptions) -> ReplayPlan:
         # queue at end of trace.  Squash train-PHT updates are immediate
         # even in delayed mode (the driver calls update() directly).
         read_idx = np.flatnonzero(participates).astype(np.int64)
-        apply_at = bt.idx[read_idx] + options.distance
-        target = np.searchsorted(bt.idx, apply_at, side="left")
+        apply_at = trace.b_idx[read_idx] + options.distance
+        target = np.searchsorted(trace.b_idx, apply_at, side="left")
         target = np.maximum(target, read_idx + 1)
         applies = target < n
         upd_idx = read_idx[applies]
@@ -314,13 +215,13 @@ def build_plan(trace, options: SimOptions) -> ReplayPlan:
 
     return ReplayPlan(
         options=options,
-        workload=bt.workload,
-        instructions=bt.instructions,
+        workload=trace.meta.workload or "<trace>",
+        instructions=trace.meta.instructions,
         n=n,
         pc=pc,
         taken=taken,
         ghr=ghr,
-        cls=bt.cls.astype(np.int8, copy=False),
+        cls=trace.branch_classes(),
         squash=squash,
         ev_branch=ev_branch,
         ev_read=ev_read,

@@ -104,55 +104,71 @@ def _init_worker(traces_blob: bytes) -> None:
     _WORKER_TRACES = pickle.loads(traces_blob)
 
 
-def _run_point(
-    index, trace_name, label, predictor, options, profile=None,
-    core="object", traceparent=None,
-):
-    """Simulate one grid point inside a worker process.
+def _simulate_point(trace, point, predictor, profile, core, sweep_ctx):
+    """Simulate one grid point; the one body of both sweep paths.
 
     The point runs under a fresh registry so its counters can be merged
-    deterministically in the parent; ``started_at`` (wall clock) lets
-    the parent estimate how long the point sat in the pool's queue.
-    With a :class:`~repro.profiler.spec.ProfileSpec` the point also runs
-    under a fresh attribution aggregator, which rides back to the parent
-    on ``result.attribution`` exactly like the registry.
+    deterministically in the parent.  With a
+    :class:`~repro.profiler.spec.ProfileSpec` the point also runs under
+    a fresh attribution aggregator, which rides back on
+    ``result.attribution`` exactly like the registry.
 
-    ``traceparent`` (the parent sweep span's context) turns tracing on
-    for the point: it runs under a ``sweep-point`` trace span whose id
-    is derived from the sweep context and the point's canonical index —
-    not from scheduling — and its spans ride back in a fresh
+    ``sweep_ctx`` (the sweep span's trace context) turns tracing on for
+    the point: it runs under a ``sweep-point`` trace span whose id is
+    derived from the sweep context and the point's canonical index —
+    not from scheduling — and its spans come back in a fresh
     :class:`~repro.telemetry.SpanCollector`, mirroring the registry.
+    Returns ``(result, registry, spans)``; ``spans`` is ``None`` when
+    not tracing.
     """
-    started_at = time.time()
-    start = time.perf_counter()
     collector = (
-        AggregatingCollector(profile, workload=trace_name)
+        AggregatingCollector(profile, workload=point.workload)
         if profile is not None
         else None
     )
+    spans = None
     with ExitStack() as stack:
-        spans_out = None
-        if traceparent is not None:
-            spans_out = tracing.SpanCollector()
+        if sweep_ctx is not None:
+            spans = tracing.SpanCollector()
             stack.enter_context(tracing.use_tracing(True))
-            stack.enter_context(tracing.use_collector(spans_out))
-            stack.enter_context(tracing.use_context(
-                tracing.from_traceparent(traceparent), next_seq=index
-            ))
+            stack.enter_context(tracing.use_collector(spans))
+            stack.enter_context(
+                tracing.use_context(sweep_ctx, next_seq=point.index)
+            )
             stack.enter_context(tracing.trace_span(
-                "sweep-point", index=index, workload=trace_name,
-                predictor=label,
+                "sweep-point", index=point.index, workload=point.workload,
+                predictor=point.predictor,
             ))
         registry = stack.enter_context(use_registry(MetricsRegistry()))
         result = simulate(
-            _WORKER_TRACES[trace_name], predictor, options,
-            collector=collector, core=core,
+            trace, predictor, point.options, collector=collector, core=core
         )
-    result.workload = trace_name
-    result.predictor = label
+    result.workload = point.workload
+    result.predictor = point.predictor
+    return result, registry, spans
+
+
+def _run_point(point, predictor, profile, core, traceparent):
+    """Simulate one grid point inside a worker process.
+
+    ``started_at`` (wall clock) lets the parent estimate how long the
+    point sat in the pool's queue; ``traceparent`` carries the sweep
+    span's context across the process boundary.
+    """
+    started_at = time.time()
+    start = time.perf_counter()
+    sweep_ctx = (
+        tracing.from_traceparent(traceparent)
+        if traceparent is not None
+        else None
+    )
+    result, registry, spans = _simulate_point(
+        _WORKER_TRACES[point.workload], point, predictor, profile, core,
+        sweep_ctx,
+    )
     return (
-        index, result, time.perf_counter() - start, registry,
-        started_at, spans_out,
+        point.index, result, time.perf_counter() - start, registry,
+        started_at, spans,
     )
 
 
@@ -284,44 +300,16 @@ class ParallelSweepRunner:
         results = []
         for point, predictor in points:
             start = time.perf_counter()
-            collector = (
-                AggregatingCollector(profile, workload=point.workload)
-                if profile is not None
-                else None
-            )
             try:
-                # Same shape as the parallel path: the point runs under
-                # its own registry (and, when tracing, its own span
-                # collector and derived context), merged back in
-                # canonical order.
-                with ExitStack() as stack:
-                    if sweep_ctx is not None:
-                        point_spans = tracing.SpanCollector()
-                        stack.enter_context(
-                            tracing.use_collector(point_spans)
-                        )
-                        stack.enter_context(tracing.use_context(
-                            sweep_ctx, next_seq=point.index
-                        ))
-                        stack.enter_context(tracing.trace_span(
-                            "sweep-point", index=point.index,
-                            workload=point.workload,
-                            predictor=point.predictor,
-                        ))
-                    registry = stack.enter_context(
-                        use_registry(MetricsRegistry())
-                    )
-                    result = simulate(
-                        traces[point.workload], predictor, point.options,
-                        collector=collector, core=core,
-                    )
+                result, registry, point_spans = _simulate_point(
+                    traces[point.workload], point, predictor, profile,
+                    core, sweep_ctx,
+                )
             except Exception as exc:
                 raise SweepError(self._describe_failure(point, exc)) from exc
             parent_registry.merge(registry)
             if sweep_ctx is not None:
                 parent_spans.merge(point_spans)
-            result.workload = point.workload
-            result.predictor = point.predictor
             results.append(result)
             self._report(point, time.perf_counter() - start, len(results))
         return results
@@ -351,14 +339,7 @@ class ParallelSweepRunner:
             for point, predictor in points:
                 futures[
                     pool.submit(
-                        _run_point,
-                        point.index,
-                        point.workload,
-                        point.predictor,
-                        predictor,
-                        point.options,
-                        profile,
-                        core,
+                        _run_point, point, predictor, profile, core,
                         traceparent,
                     )
                 ] = point

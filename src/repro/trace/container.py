@@ -119,10 +119,20 @@ class Trace:
         return int(self.d_pc.shape[0])
 
     def branch_classes(self) -> np.ndarray:
-        """Per-branch :class:`BranchClass` values."""
-        classes = np.full(self.num_branches, BranchClass.NORMAL, dtype=np.int8)
-        classes[self.b_kind == int(BranchKind.LOOP)] = BranchClass.LOOP
-        classes[self.b_region] = BranchClass.REGION
+        """Per-branch :class:`BranchClass` values (``int8``, read-only).
+
+        Computed once per trace object: every simulation of the trace,
+        on any core, shares the one array.
+        """
+        classes = self.__dict__.get("_branch_classes")
+        if classes is None:
+            classes = np.full(
+                self.num_branches, BranchClass.NORMAL, dtype=np.int8
+            )
+            classes[self.b_kind == int(BranchKind.LOOP)] = BranchClass.LOOP
+            classes[self.b_region] = BranchClass.REGION
+            classes.flags.writeable = False
+            self._branch_classes = classes
         return classes
 
     def taken_rate(self) -> float:

@@ -6,6 +6,10 @@ predictor and the JRS estimator both index with the driver's global
 history (predicate defines shifted in at their availability points,
 only the guard predicates' under ``PGUConfig(which="guards_only")``),
 and the estimator trains right after every prediction.
+
+Its selection of squashed branches and PGU defines,
+:func:`frontend_rules`, is written independently of the simulator's
+shared rules, which ``tests/test_frontend_rules.py`` checks against it.
 """
 
 from repro.pipeline.availability import AvailabilityModel
@@ -14,37 +18,48 @@ from repro.predictors.confidence import ConfidenceResult
 from repro.sim.driver import SimOptions
 
 
-def oracle_confidence(trace, predictor, estimator,
-                      options: SimOptions = SimOptions()):
-    """The :class:`ConfidenceResult` of ``trace``, branch by branch."""
+def frontend_rules(trace, options: SimOptions):
+    """The squash filter's and PGU's selections, restated with lists.
+
+    Returns ``(squash, defines, delay)``: ``squash`` is a per-branch
+    list of bools (``None`` without SFP), ``defines`` the
+    ``(d_idx, value)`` pairs PGU shifts into history, in execution
+    order, and ``delay`` their visibility lag in dynamic instructions.
+    """
     availability = AvailabilityModel(options.distance)
-    history = GlobalHistory(options.history_bits)
     sfp = options.sfp
     if sfp is None:
-        squash_list = None
+        squash = None
     elif sfp.squash_known_true:
-        squash_list = (
+        squash = (
             availability.guard_known_mask(trace) & (trace.b_guard != 0)
         ).tolist()
     else:
-        squash_list = availability.squashable_mask(trace).tolist()
+        squash = availability.squashable_mask(trace).tolist()
 
     pgu = options.pgu
-    if pgu is not None:
-        delay = options.distance if pgu.delay is None else pgu.delay
-        guards = set(trace.b_guard[trace.b_guard > 0].tolist())
-        defines = [
-            (j, value)
-            for j, value, pred in zip(
-                trace.d_idx.tolist(),
-                trace.d_value.tolist(),
-                trace.d_pred.tolist(),
-            )
-            if pgu.which != "guards_only" or pred in guards
-        ]
-    else:
-        delay = 0
-        defines = []
+    if pgu is None:
+        return squash, [], 0
+    delay = options.distance if pgu.delay is None else pgu.delay
+    guards = set(trace.b_guard[trace.b_guard > 0].tolist())
+    defines = [
+        (j, value)
+        for j, value, pred in zip(
+            trace.d_idx.tolist(),
+            trace.d_value.tolist(),
+            trace.d_pred.tolist(),
+        )
+        if pgu.which != "guards_only" or pred in guards
+    ]
+    return squash, defines, delay
+
+
+def oracle_confidence(trace, predictor, estimator,
+                      options: SimOptions = SimOptions()):
+    """The :class:`ConfidenceResult` of ``trace``, branch by branch."""
+    history = GlobalHistory(options.history_bits)
+    sfp = options.sfp
+    squash_list, defines, delay = frontend_rules(trace, options)
     num_defs = len(defines)
 
     b_pc = trace.b_pc.tolist()

@@ -95,6 +95,90 @@ class TestCLI:
             main(["frobnicate"])
 
 
+#: Flag -> (dest, default, choices, type, action) shared by the
+#: subcommands that simulate.
+_SIM_FLAGS = {
+    "--core": ("core", None, ("object", "fast", "numpy"), None, "store"),
+    "--metrics": ("metrics", None, None, None, "store"),
+    "--trace": ("trace", None, None, None, "store"),
+    "--record": ("record", False, None, None, "store_true"),
+    "--store": ("store", None, None, None, "store"),
+}
+#: ... and by the experiment runners.
+_EXPERIMENT_FLAGS = {
+    **_SIM_FLAGS,
+    "--scale": ("scale", "small", ("tiny", "small", "ref"), None, "store"),
+    "--fast": ("fast", False, None, None, "store_true"),
+    "--workloads": ("workloads", None, None, None, "store"),
+    "--workers": ("workers", None, None, int, "store"),
+    "--format": ("format", "table", ("table", "csv", "json"), None,
+                 "store"),
+    "--output": ("output", None, None, None, "store"),
+}
+
+
+def _subcommand_flags(name):
+    import argparse
+
+    from repro.cli import build_parser
+
+    kinds = {
+        argparse._StoreAction: "store",
+        argparse._StoreTrueAction: "store_true",
+    }
+    sub = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    flags = {}
+    for action in sub.choices[name]._actions:
+        if action.dest == "help":
+            continue
+        key = action.option_strings[0] if action.option_strings else (
+            action.dest
+        )
+        choices = action.choices
+        flags[key] = (
+            action.dest, action.default,
+            tuple(choices) if choices is not None else None,
+            action.type, kinds[type(action)],
+        )
+    return flags
+
+
+class TestParserFlags:
+    """Each simulating subcommand keeps its exact flag set."""
+
+    @pytest.mark.parametrize("name", ["run", "run-experiment"])
+    def test_run(self, name):
+        assert _subcommand_flags(name) == {
+            **_EXPERIMENT_FLAGS,
+            "id": ("id", None, None, None, "store"),
+        }
+
+    def test_run_all(self):
+        assert _subcommand_flags("run-all") == _EXPERIMENT_FLAGS
+
+    def test_simulate(self):
+        from repro.predictors import available_predictors
+        from repro.workloads import workload_names
+
+        assert _subcommand_flags("simulate") == {
+            **_SIM_FLAGS,
+            "workload": ("workload", None, tuple(workload_names()), None,
+                         "store"),
+            "--predictor": ("predictor", "gshare",
+                            tuple(available_predictors()), None, "store"),
+            "--entries": ("entries", 4096, None, int, "store"),
+            "--scale": ("scale", "small", ("tiny", "small", "ref"), None,
+                        "store"),
+            "--distance": ("distance", 4, None, int, "store"),
+            "--sfp": ("sfp", False, None, None, "store_true"),
+            "--pgu": ("pgu", False, None, None, "store_true"),
+            "--baseline": ("baseline", False, None, None, "store_true"),
+        }
+
+
 class TestAnalyzeCommand:
     def test_analyze(self, capsys):
         code, out = run_cli(capsys, "analyze", "grep", "--regions")

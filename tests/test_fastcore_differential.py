@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.experiments.e10_ablations import VARIANTS as E10_VARIANTS
 from repro.isa.opcodes import BranchKind
 from repro.predictors import (
     BimodalPredictor,
@@ -34,6 +35,7 @@ from repro.sim import SimOptions, simulate, use_core
 from repro.sim import fastcore
 from repro.trace.container import Trace, TraceMeta
 from repro.workloads import get_workload, workload_names
+from tests.differential_harness import REPLAYS, differential_check
 
 pytestmark = pytest.mark.fastcore
 
@@ -145,7 +147,7 @@ def test_option_variants(workload, oname):
                 # public knob falls back to the scalar fast loop, which
                 # the "fast" leg of this loop already checks.
                 continue
-            report = fastcore.differential_check(
+            report = differential_check(
                 trace, factory, options, core=core
             )
             assert report.matches, report.summary()
@@ -193,7 +195,7 @@ def test_composite_trained_state_matches_object_predictor(
     kernel = fastcore.kernel_from_predictor(PREDICTORS[label]())
     # lexer has ~21k events: many chunk boundaries
     monkeypatch.setattr(replay, "CHUNK_EVENTS", 1000)
-    fastcore.run_fast(trace, PREDICTORS[label](), options, kernel=kernel)
+    fastcore.fast_replay(kernel, fastcore.plan_for(trace, options))
     assert kernel.state() == _object_state(predictor)
     if label == "tage-aging":
         # Mispredicted updates tick toward aging: it ran many times.
@@ -209,14 +211,8 @@ def test_trained_state_matches_object_predictor():
         kernel = fastcore.kernel_from_predictor(
             GSharePredictor(entries=1024, history_bits=10)
         )
-        fastcore.run_fast(
-            trace,
-            GSharePredictor(entries=1024, history_bits=10),
-            SimOptions(),
-            core=core,
-            kernel=kernel,
-            require=True,
-        )
+        assert fastcore.batch_supported(kernel)
+        REPLAYS[core](kernel, fastcore.plan_for(trace, SimOptions()))
         assert kernel.table == list(predictor.counters.table), core
 
 
@@ -233,7 +229,7 @@ def test_tournament_of_other_components(oname):
             component_b=GSelectPredictor(entries=512, history_bits=4),
         )
 
-    report = fastcore.differential_check(
+    report = differential_check(
         trace, factory, VARIANT_OPTIONS[oname], core="fast"
     )
     assert report.matches, report.summary()
@@ -258,7 +254,7 @@ class TestSeededDivergence:
         _, entry = self._first_read_entry(trace, kernel, SimOptions())
         # Flip the prediction the very first branch will read.
         kernel.table[entry] = 3 if kernel.table[entry] < 2 else 0
-        report = fastcore.differential_check(
+        report = differential_check(
             trace, factory, SimOptions(), core=core, kernel=kernel
         )
         assert not report.matches
@@ -272,7 +268,7 @@ class TestSeededDivergence:
             scale="tiny", hyperblocks=True
         )
         factory = PREDICTORS["gshare"]
-        report = fastcore.differential_check(
+        report = differential_check(
             trace, factory, SimOptions(), core="fast"
         )
         assert report.matches
@@ -391,7 +387,7 @@ def test_btb_post_pass(workload, geometry):
     for oname, base in BTB_OPTIONS.items():
         options = replace(base, btb=btb)
         for core in FAST_CORES:
-            report = fastcore.differential_check(
+            report = differential_check(
                 trace, PREDICTORS["gshare"], options, core=core
             )
             assert report.matches, f"{oname}: {report.summary()}"
@@ -458,7 +454,7 @@ def test_random_trace_btb_equivalence(data):
         ),
     )
     for core in FAST_CORES:
-        report = fastcore.differential_check(
+        report = differential_check(
             trace, PREDICTORS["gshare"], options, core=core
         )
         assert report.matches, report.summary()
@@ -535,24 +531,36 @@ def test_same_run_id_across_cores():
         assert "sim_core" not in record.payload()
 
 
+#: The original SFP+PGU point, every E10 front-end variant (delayed
+#: update and ``update_pht`` reach both terms of ``sim.updates``) and a
+#: BTB geometry.
+COUNTER_OPTIONS = {
+    "sfp+pgu": SimOptions(sfp=SFPConfig(), pgu=PGUConfig()),
+    **E10_VARIANTS,
+    "btb-64x1+sfp+pgu": SimOptions(
+        sfp=SFPConfig(), pgu=PGUConfig(), btb=BTBConfig(sets=64, ways=1)
+    ),
+}
+
+
 def test_fastcore_telemetry_counters_match_object():
     from repro import telemetry
 
     trace = get_workload("grep").trace(scale="tiny", hyperblocks=True)
-    options = SimOptions(sfp=SFPConfig(), pgu=PGUConfig())
-    snapshots = {}
-    for core in ("object", "fast", "numpy"):
-        with telemetry.use_registry(
-            telemetry.MetricsRegistry()
-        ) as registry:
-            simulate(trace, PREDICTORS["gshare"](), options, core=core)
-        snapshots[core] = registry.snapshot()["counters"]
-    assert snapshots["object"]["sim.core.object"] == 1
-    for core in FAST_CORES:
-        assert snapshots[core][f"sim.core.{core}"] == 1
-        assert _outcome_counters(snapshots[core]) == _outcome_counters(
-            snapshots["object"]
-        ), core
+    for oname, options in COUNTER_OPTIONS.items():
+        snapshots = {}
+        for core in ("object", "fast", "numpy"):
+            with telemetry.use_registry(
+                telemetry.MetricsRegistry()
+            ) as registry:
+                simulate(trace, PREDICTORS["gshare"](), options, core=core)
+            snapshots[core] = registry.snapshot()["counters"]
+        assert snapshots["object"]["sim.core.object"] == 1, oname
+        for core in FAST_CORES:
+            assert snapshots[core][f"sim.core.{core}"] == 1, oname
+            assert _outcome_counters(snapshots[core]) == _outcome_counters(
+                snapshots["object"]
+            ), f"{oname} on core {core}"
 
 
 def test_families_and_btb_experiments_run_without_fallback():

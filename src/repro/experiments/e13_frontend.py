@@ -82,8 +82,11 @@ def run(scale: str = "small", workloads=None, entries: int = 1024,
                  "hyper_speedup", "both_speedup"],
         rows=rows,
         notes=(
-            f"FetchModel(width={fetch_width}, mispredict=10, misfetch=2, "
-            "taken-bubble=1), BTB 256x2. Speedups: cycles(baseline) / "
+            f"FetchModel(width={model.width}, "
+            f"mispredict={model.mispredict_penalty}, "
+            f"misfetch={model.misfetch_penalty}, "
+            f"taken-bubble={model.taken_bubble}), "
+            f"BTB {btb.sets}x{btb.ways}. Speedups: cycles(baseline) / "
             "cycles(config), same source program."
         ),
     )

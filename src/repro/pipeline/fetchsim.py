@@ -1,7 +1,7 @@
 """Discrete front-end fetch simulation.
 
 A step up from the analytic :class:`~repro.pipeline.cost.CostModel`: the
-fetch stream is replayed branch by branch, charging
+fetch stream is replayed, charging
 
 * ``ceil(run / width)`` cycles per straight-line fetch run (a taken
   branch ends its fetch cycle — *fragmentation*, the second cost
@@ -19,6 +19,9 @@ fragmentation is left out, which cancels in speedup ratios.
 """
 
 from dataclasses import dataclass
+from numbers import Integral
+
+import numpy as np
 
 from repro.trace.container import Trace
 
@@ -35,6 +38,11 @@ class FetchModel:
     def __post_init__(self):
         if self.width <= 0:
             raise ValueError("width must be positive")
+        for name in ("mispredict_penalty", "misfetch_penalty",
+                     "taken_bubble"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or value < 0:
+                raise ValueError(f"{name} must be a non-negative integer")
 
 
 @dataclass
@@ -59,47 +67,40 @@ def simulate_frontend(trace: Trace, flags, model: FetchModel = FetchModel()
 
     ``flags`` is the :class:`~repro.sim.driver.BranchFlags` recorded by a
     simulation run over the *same trace*.
+
+    A fetch run ends at every taken branch and at every wrongly
+    predicted one (a not-taken branch predicted taken still breaks the
+    run: fetch went down the wrong path); a correctly predicted
+    not-taken branch lets the run continue.  Every run costs ``ceil(run / width)``
+    cycles, the instructions after the last break form a tail run, and
+    each penalty is its event count times its cost.  All terms are
+    integers, so the cycle counts are exact.
     """
-    b_idx = trace.b_idx
-    taken = trace.b_taken
-    correct = flags.correct
-    misfetch = flags.misfetch
-    if len(correct) != trace.num_branches:
+    taken = np.asarray(trace.b_taken, dtype=bool)
+    correct = np.asarray(flags.correct, dtype=bool)
+    misfetch = np.asarray(flags.misfetch, dtype=bool)
+    if correct.shape[0] != trace.num_branches:
         raise ValueError("flags do not match the trace")
 
     width = model.width
-    fetch_cycles = 0.0
-    mispredict_cycles = 0.0
-    misfetch_cycles = 0.0
-    bubble_cycles = 0.0
-
-    prev = 0  # dynamic index where the current fetch run began
-    for i in range(trace.num_branches):
-        end = int(b_idx[i])
-        if taken[i]:
-            run = end - prev + 1
-            fetch_cycles += -(-run // width)
-            prev = end + 1
-            if correct[i]:
-                if misfetch[i]:
-                    misfetch_cycles += model.misfetch_penalty
-                else:
-                    bubble_cycles += model.taken_bubble
-            else:
-                mispredict_cycles += model.mispredict_penalty
-        elif not correct[i]:
-            # Wrongly predicted taken: the run still breaks at the
-            # branch (fetch went down the wrong path) plus the penalty.
-            run = end - prev + 1
-            fetch_cycles += -(-run // width)
-            prev = end + 1
-            mispredict_cycles += model.mispredict_penalty
-        # correctly predicted not-taken: the run continues.
-
-    tail = trace.meta.instructions - prev
+    wrong = ~correct
+    ends = trace.b_idx[taken | wrong] + 1
+    runs = np.diff(ends, prepend=0)
+    fetch = int((-(-runs // width)).sum())
+    tail = trace.meta.instructions - (int(ends[-1]) if ends.size else 0)
     if tail > 0:
-        fetch_cycles += -(-tail // width)
-
+        fetch += -(-tail // width)
+    right_taken = taken & correct
+    misfetched = int(np.count_nonzero(right_taken & misfetch))
+    fetch_cycles = float(fetch)
+    mispredict_cycles = float(
+        int(np.count_nonzero(wrong)) * model.mispredict_penalty
+    )
+    misfetch_cycles = float(misfetched * model.misfetch_penalty)
+    bubble_cycles = float(
+        (int(np.count_nonzero(right_taken)) - misfetched)
+        * model.taken_bubble
+    )
     cycles = (
         fetch_cycles + mispredict_cycles + misfetch_cycles + bubble_cycles
     )

@@ -342,10 +342,15 @@ class TournamentKernel:
     """Chooser of 2-bit counters picking between two component kernels.
 
     The chooser reads ``(pc ^ ghist) & mask``, a pure function of the
-    event stream, so the replay loop precomputes it; the components
-    keep their own state.  The chooser trains only when the components
-    disagree, toward the one that was right, recomputing both
-    components' predictions at train time as the object predictor does.
+    event stream, so replay precomputes it; the components keep their
+    own state.  The chooser trains only when the components disagree,
+    toward the one that was right, recomputing both components'
+    predictions at train time as the object predictor does.  Neither
+    component ever depends on the chooser, and where they agree the
+    chooser's value does not matter: so on a plan where every event
+    reads and trains, each table replays on its own and the chooser
+    over the disagreeing events alone
+    (:func:`~repro.sim.fastcore.replay.replay_tournament_runs`).
     """
 
     batchable = False
@@ -421,6 +426,8 @@ class PerceptronKernel:
                  weight_limit: int, threshold: int):
         if entries <= 0 or entries & (entries - 1):
             raise ValueError("entries must be a positive power of two")
+        if threshold < 0:
+            raise ValueError("threshold must be non-negative")
         self.weights = [[0] * (history_bits + 1) for _ in range(entries)]
         self.mask = entries - 1
         self.history_bits = history_bits

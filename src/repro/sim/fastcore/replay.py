@@ -26,12 +26,25 @@ The local kernel's indices come from
 histories shift in actual outcomes only, so they never depend on a
 prediction.
 
-The composite kernels (tournament, perceptron, TAGE) each have their
-own loop, fed per-event indices computed with numpy from the plan's
-``pc`` and ``ghr`` arrays (chooser, component and local pattern slots,
-perceptron sign tuples, TAGE slots and tags); only their serial table
-state stays in Python.  They run a chunk of :data:`CHUNK_EVENTS` events
-at a time, so the per-event index lists never outgrow one chunk.
+A tournament over a local and a table kernel replays a ``uniform``
+plan as three run replays (:func:`replay_tournament_runs`): each
+component on its own, then the chooser over the events where the
+components disagree, the only ones where it reads or trains.
+
+The other composite cases each have their own loop, fed per-event
+indices computed with numpy from the plan's ``pc`` and ``ghr`` arrays
+(chooser, component and local pattern slots, perceptron sign tuples,
+TAGE slots and tags); only their serial table state stays in Python:
+
+* :func:`_replay_tournament` — tournaments on plans with read /
+  transition flags, and (through the scalar ABI) over other components;
+* :func:`_replay_perceptron` — memoizes each row's outputs by history
+  value until that row next trains;
+* :func:`_replay_tage` — allocation and aging make every event depend
+  on the state the previous one left.
+
+They run a chunk of :data:`CHUNK_EVENTS` events at a time, so the
+per-event index lists never outgrow one chunk.
 
 Every path returns the *event positions* that mispredicted, ascending;
 the caller maps positions to branch indices through the plan's
@@ -239,13 +252,62 @@ def _replay_generic(kernel, pcs, ghrs, takens, reads, transs):
     return mis
 
 
+def _local_and_table(kernel: TournamentKernel) -> bool:
+    """Are the tournament's components a local and a table kernel?"""
+    return type(kernel.a) is LocalKernel and isinstance(kernel.b, TableKernel)
+
+
+def _wrong(mis: np.ndarray, count: int) -> np.ndarray:
+    """Per-event ``bool``: the event position is in ``mis``."""
+    wrong = np.zeros(count, dtype=bool)
+    wrong[mis] = True
+    return wrong
+
+
+def replay_tournament_runs(kernel: TournamentKernel, pc: np.ndarray,
+                           ghr: np.ndarray, taken: np.ndarray,
+                           trans: np.ndarray) -> np.ndarray:
+    """Replay a uniform stream through a (local, table kernel)
+    tournament as three run replays.
+
+    Neither component's prediction depends on the chooser, so each
+    component's table replays on its own (:func:`replay_runs`) and
+    predicts ``taken ^ mispredicted``.  Where the components agree the
+    chooser is neither consulted nor trained; where they disagree it
+    reads and trains toward "b was right".  Its stream is therefore the
+    disagreeing events alone, read+train again.  An event mispredicts
+    when both components were wrong, or when they disagreed and the
+    chooser picked the wrong one.  Returns the mispredicted event
+    positions, ascending.
+    """
+    count = int(taken.shape[0])
+    a = kernel.a
+    b = kernel.b
+    wrong_a = _wrong(
+        replay_runs(a.table, a.event_indices(pc, taken, trans), taken),
+        count,
+    )
+    wrong_b = _wrong(
+        replay_runs(b.table, b.batch_index(pc, ghr), taken), count
+    )
+    split = np.flatnonzero(wrong_a != wrong_b)
+    picked_wrong = replay_runs(
+        kernel.chooser,
+        kernel.batch_chooser_index(pc[split], ghr[split]),
+        (~wrong_b[split]).view(np.uint8),
+    )
+    wrong = wrong_a & wrong_b
+    wrong[split[picked_wrong]] = True
+    return np.flatnonzero(wrong)
+
+
 def _replay_tournament(kernel, pc, ghr, taken, read, trans):
     a = kernel.a
     b = kernel.b
     takens = taken.tolist()
     reads = read.tolist()
     transs = trans.tolist()
-    if type(a) is not LocalKernel or not isinstance(b, TableKernel):
+    if not _local_and_table(kernel):
         return _replay_generic(
             kernel, pc.tolist(), ghr.tolist(), takens, reads, transs
         )
@@ -292,6 +354,16 @@ def _replay_tournament(kernel, pc, ghr, taken, read, trans):
 
 
 def _replay_perceptron(kernel, pc, ghr, taken, read, trans):
+    """Perceptron loop with each row's outputs memoized between its
+    trainings.
+
+    A row's weights only change when it trains, so its output for a
+    sign key stays valid until then: one ``{key: output}`` dict per row,
+    cleared when that row trains.  Training follows the kernel's rule
+    (wrong, or ``|output| <= threshold``), which for a non-negative
+    threshold is ``output <= threshold`` on a taken event and
+    ``output >= -threshold`` on a not-taken one.
+    """
     takens = taken.tolist()
     reads = read.tolist()
     transs = trans.tolist()
@@ -303,18 +375,25 @@ def _replay_perceptron(kernel, pc, ghr, taken, read, trans):
     mul = operator.mul
     plus = operator.add
     minus = operator.sub
+    memos = [{} for _ in weights]
     mis = []
     add = mis.append
     k = 0
-    for row, t in zip(rows, takens):
-        w = weights[row]
-        signs = sign_tuples[keys[k]]
-        output = sum(map(mul, w, signs))
-        wrong = (output >= 0) != t
-        if reads[k] and wrong:
+    for row, key, t in zip(rows, keys, takens):
+        memo = memos[row]
+        output = memo.get(key)
+        if output is None:
+            output = memo[key] = sum(
+                map(mul, weights[row], sign_tuples[key])
+            )
+        if reads[k] and (output >= 0) != t:
             add(k)
-        if transs[k] and (wrong or -threshold <= output <= threshold):
-            w[:] = map(clip, map(plus if t else minus, w, signs))
+        if transs[k] and (
+            output <= threshold if t else output >= -threshold
+        ):
+            w = weights[row]
+            w[:] = map(clip, map(plus if t else minus, w, sign_tuples[key]))
+            memo.clear()
         k += 1
     return mis
 
@@ -437,6 +516,12 @@ def fast_replay(kernel, plan: ReplayPlan) -> np.ndarray:
     predictor's trained state event for event).
     """
     ev_branch = plan.ev_branch
+    if (plan.uniform and type(kernel) is TournamentKernel
+            and _local_and_table(kernel)):
+        return ev_branch[replay_tournament_runs(
+            kernel, plan.per_event(plan.pc), plan.per_event(plan.ghr),
+            plan.per_event(plan.taken), plan.ev_trans,
+        )]
     loop = _COMPOSITE_LOOPS.get(type(kernel))
     if loop is not None:
         return ev_branch[_replay_chunked(loop, kernel, plan)]

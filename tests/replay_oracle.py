@@ -1,9 +1,10 @@
-"""Per-event replay loops: the oracle of the grouped run replay.
+"""Per-event loops: the oracles of the vectorised replay paths.
 
-These are the fast core's previous loops for 2-bit counter tables, one
-iteration per event.  They are kept as the oracle of the replay tests
-(``tests/test_replay_runs.py``) and of the replay benchmark gate
-(``benchmarks/test_bench_replay.py``).  Nothing in ``src/`` uses them.
+These are the fast core's previous loops, one iteration per event (or
+per branch).  They are kept as the oracles of the replay tests
+(``tests/test_replay_runs.py``, ``tests/test_replay_families.py``) and
+of the replay benchmark gates (``benchmarks/test_bench_replay.py``,
+``benchmarks/test_bench_families.py``).  Nothing in ``src/`` uses them.
 
 * :func:`replay_table_uniform` — every event reads then trains one
   counter of a table kernel (bimodal, gshare, gselect, GAg).
@@ -12,13 +13,22 @@ iteration per event.  They are kept as the oracle of the replay tests
   flags.
 * :func:`oracle_replay` — the fast core's previous path for those
   kernels on one replay plan.
+* :func:`replay_perceptron` — the perceptron loop recomputing every
+  output as a dot product; :func:`oracle_composite` runs it (or the
+  tournament loop) over a plan a chunk at a time.
+* :func:`simulate_frontend_loop` — the fetch replay, branch by branch.
 
-Every loop returns the *event positions* that mispredicted, ascending.
+Every replay loop returns the *event positions* that mispredicted,
+ascending.
 """
+
+import operator
 
 import numpy as np
 
+from repro.pipeline.fetchsim import FrontendResult
 from repro.sim.fastcore.kernels import LocalKernel
+from repro.sim.fastcore.replay import _replay_chunked
 
 
 def replay_table_uniform(table, idxs, takens):
@@ -86,3 +96,93 @@ def oracle_replay(kernel, plan) -> np.ndarray:
         ).tolist()
         mis = replay_table_uniform(kernel.table, idxs, takens)
     return ev_branch[np.asarray(mis, dtype=np.int64)]
+
+
+def replay_perceptron(kernel, pc, ghr, taken, read, trans):
+    takens = taken.tolist()
+    reads = read.tolist()
+    transs = trans.tolist()
+    rows = (pc & kernel.mask).tolist()
+    keys, sign_tuples = kernel.batch_signs(ghr)
+    weights = kernel.weights
+    threshold = kernel.threshold
+    clip = kernel.clip.__getitem__
+    mul = operator.mul
+    plus = operator.add
+    minus = operator.sub
+    mis = []
+    add = mis.append
+    k = 0
+    for row, t in zip(rows, takens):
+        w = weights[row]
+        signs = sign_tuples[keys[k]]
+        output = sum(map(mul, w, signs))
+        wrong = (output >= 0) != t
+        if reads[k] and wrong:
+            add(k)
+        if transs[k] and (wrong or -threshold <= output <= threshold):
+            w[:] = map(clip, map(plus if t else minus, w, signs))
+        k += 1
+    return mis
+
+
+def oracle_composite(loop, kernel, plan) -> np.ndarray:
+    """Mispredicted branch indices of a composite kernel's per-event
+    ``loop`` over the plan, a chunk at a time."""
+    return plan.ev_branch[_replay_chunked(loop, kernel, plan)]
+
+
+def simulate_frontend_loop(trace, flags, model) -> FrontendResult:
+    """:func:`repro.pipeline.fetchsim.simulate_frontend`, one branch at
+    a time."""
+    b_idx = trace.b_idx
+    taken = trace.b_taken
+    correct = flags.correct
+    misfetch = flags.misfetch
+    if len(correct) != trace.num_branches:
+        raise ValueError("flags do not match the trace")
+
+    width = model.width
+    fetch_cycles = 0.0
+    mispredict_cycles = 0.0
+    misfetch_cycles = 0.0
+    bubble_cycles = 0.0
+
+    prev = 0  # dynamic index where the current fetch run began
+    for i in range(trace.num_branches):
+        end = int(b_idx[i])
+        if taken[i]:
+            run = end - prev + 1
+            fetch_cycles += -(-run // width)
+            prev = end + 1
+            if correct[i]:
+                if misfetch[i]:
+                    misfetch_cycles += model.misfetch_penalty
+                else:
+                    bubble_cycles += model.taken_bubble
+            else:
+                mispredict_cycles += model.mispredict_penalty
+        elif not correct[i]:
+            # Wrongly predicted taken: the run still breaks at the
+            # branch (fetch went down the wrong path) plus the penalty.
+            run = end - prev + 1
+            fetch_cycles += -(-run // width)
+            prev = end + 1
+            mispredict_cycles += model.mispredict_penalty
+        # correctly predicted not-taken: the run continues.
+
+    tail = trace.meta.instructions - prev
+    if tail > 0:
+        fetch_cycles += -(-tail // width)
+
+    cycles = (
+        fetch_cycles + mispredict_cycles + misfetch_cycles + bubble_cycles
+    )
+    return FrontendResult(
+        cycles=cycles,
+        instructions=trace.meta.instructions,
+        fetch_cycles=fetch_cycles,
+        mispredict_cycles=mispredict_cycles,
+        misfetch_cycles=misfetch_cycles,
+        bubble_cycles=bubble_cycles,
+    )

@@ -213,3 +213,14 @@ class TestFetchSim:
 
         with pytest.raises(ValueError):
             FetchModel(width=0)
+
+    def test_bad_penalty_rejected(self):
+        import pytest
+        from repro.pipeline.fetchsim import FetchModel
+
+        for field in ("mispredict_penalty", "misfetch_penalty",
+                      "taken_bubble"):
+            for value in (-1, 1.5, 2.0, "2"):
+                with pytest.raises(ValueError):
+                    FetchModel(**{field: value})
+            assert getattr(FetchModel(**{field: 0}), field) == 0

@@ -1,0 +1,200 @@
+"""The vectorised family and fetch replays against their per-event
+oracles.
+
+Hypothesis drives random streams through the composed tournament
+replay, the memoized perceptron loop and the vectorised fetch replay,
+and through the per-event loops they replace (``_replay_tournament``
+and ``tests/replay_oracle.py``).  Mispredict positions, every table,
+local histories, perceptron weights and fetch cycle breakdowns must
+match exactly.
+"""
+
+import copy
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.isa.opcodes import BranchKind
+from repro.pipeline.fetchsim import FetchModel, simulate_frontend
+from repro.sim.driver import BranchFlags
+from repro.sim.fastcore.kernels import (
+    BimodalKernel,
+    GShareKernel,
+    PerceptronKernel,
+    TournamentKernel,
+)
+from repro.sim.fastcore.replay import (
+    _replay_perceptron,
+    _replay_tournament,
+    replay_tournament_runs,
+)
+from repro.trace.container import Trace, TraceMeta
+from tests.replay_oracle import replay_perceptron, simulate_frontend_loop
+from tests.test_replay_runs import SIZES, local_streams, start_table
+
+pytestmark = pytest.mark.fastcore
+
+
+@st.composite
+def tournament_streams(draw):
+    """A (local, table kernel) tournament with random start state and a
+    uniform stream over it."""
+    local, pc, taken, _, _ = draw(local_streams())
+    b_entries = draw(st.sampled_from(SIZES))
+    if draw(st.booleans()):
+        b = GShareKernel(b_entries, draw(st.sampled_from((0, 4, 12))))
+    else:
+        b = BimodalKernel(b_entries)
+    b.load_state({"table": start_table(draw, b_entries)})
+    chooser_entries = draw(st.sampled_from(SIZES))
+    kernel = TournamentKernel(chooser_entries, local, b)
+    kernel.chooser = start_table(draw, chooser_entries)
+    seed = draw(st.integers(0, 2**32 - 1))
+    ghr = np.random.default_rng(seed).integers(
+        0, 1 << 16, pc.shape[0]
+    ).astype(np.uint64)
+    return kernel, pc, ghr, taken
+
+
+@settings(max_examples=200, deadline=None)
+@given(stream=tournament_streams())
+def test_composed_tournament_matches_loop(stream):
+    kernel, pc, ghr, taken = stream
+    ones = np.ones(pc.shape[0], dtype=np.uint8)
+    oracle = copy.deepcopy(kernel)
+    expected = _replay_tournament(oracle, pc, ghr, taken, ones, ones)
+    got = replay_tournament_runs(kernel, pc, ghr, taken, ones)
+    assert got.dtype == np.int64
+    assert got.tolist() == expected
+    assert kernel.chooser == oracle.chooser
+    assert kernel.a.table == oracle.a.table
+    assert kernel.a.histories == oracle.a.histories
+    assert kernel.b.table == oracle.b.table
+
+
+@st.composite
+def perceptron_streams(draw):
+    """A perceptron with random start weights and a stream whose pcs
+    and histories repeat, so outputs are reused between trainings."""
+    entries = draw(st.sampled_from((1, 4, 64)))
+    history_bits = draw(st.sampled_from((0, 1, 5, 12)))
+    limit = draw(st.sampled_from((1, 2, 3, 127)))
+    threshold = draw(st.sampled_from((0, 1, 5, 37)))
+    kernel = PerceptronKernel(entries, history_bits, limit, threshold)
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        kernel.load_state({"weights": rng.integers(
+            -limit, limit + 1, (entries, history_bits + 1)
+        ).tolist()})
+    count = draw(st.integers(0, 300))
+    pcs = rng.integers(0, 4 * entries, draw(st.integers(1, 6)))
+    histories = rng.integers(0, 1 << 16, draw(st.integers(1, 6)))
+    pc = rng.choice(pcs, count).astype(np.int64)
+    ghr = rng.choice(histories, count).astype(np.uint64)
+    taken = (rng.random(count) < draw(st.sampled_from([0.5, 0.9]))).astype(
+        np.uint8
+    )
+    if draw(st.booleans()):
+        read = (rng.random(count) < 0.7).astype(np.uint8)
+        trans = (rng.random(count) < 0.7).astype(np.uint8)
+    else:
+        read = np.ones(count, dtype=np.uint8)
+        trans = np.ones(count, dtype=np.uint8)
+    return kernel, pc, ghr, taken, read, trans
+
+
+@settings(max_examples=200, deadline=None)
+@given(stream=perceptron_streams())
+def test_memoized_perceptron_matches_loop(stream):
+    kernel, pc, ghr, taken, read, trans = stream
+    oracle = copy.deepcopy(kernel)
+    expected = replay_perceptron(oracle, pc, ghr, taken, read, trans)
+    got = _replay_perceptron(kernel, pc, ghr, taken, read, trans)
+    assert got == expected
+    assert kernel.weights == oracle.weights
+
+
+def test_perceptron_rejects_negative_threshold():
+    with pytest.raises(ValueError):
+        PerceptronKernel(4, 3, 2, -1)
+
+
+def _fetch_case(idx, taken, correct, misfetch, instructions):
+    n = len(idx)
+    trace = Trace.from_lists(
+        b_pc=[0] * n,
+        b_idx=idx,
+        b_taken=taken,
+        b_guard=[0] * n,
+        b_guard_def=[-1] * n,
+        b_kind=[int(BranchKind.COND)] * n,
+        b_region=[False] * n,
+        b_target=[0] * n,
+        d_pc=[], d_idx=[], d_value=[], d_pred=[],
+        meta=TraceMeta(instructions=instructions),
+    )
+    flags = BranchFlags(
+        correct=np.asarray(correct, dtype=bool).reshape(n),
+        squashed=np.zeros(n, dtype=bool),
+        misfetch=np.asarray(misfetch, dtype=bool).reshape(n),
+    )
+    return trace, flags
+
+
+def _assert_same_frontend(trace, flags, model):
+    expected = simulate_frontend_loop(trace, flags, model)
+    got = simulate_frontend(trace, flags, model)
+    assert got == expected
+    for field in ("cycles", "fetch_cycles", "mispredict_cycles",
+                  "misfetch_cycles", "bubble_cycles"):
+        assert type(getattr(got, field)) is float, field
+
+
+@st.composite
+def fetch_streams(draw):
+    count = draw(st.integers(0, 40))
+    gaps = draw(st.lists(
+        st.integers(1, 9), min_size=count, max_size=count
+    ))
+    idx = (np.cumsum(gaps) - 1).tolist()
+    tail = draw(st.integers(0, 12))
+    instructions = (idx[-1] + 1 if idx else 0) + tail
+    bools = st.lists(st.booleans(), min_size=count, max_size=count)
+    case = _fetch_case(
+        idx, draw(bools), draw(bools), draw(bools), instructions
+    )
+    model = FetchModel(
+        width=draw(st.sampled_from((1, 2, 6, 8))),
+        mispredict_penalty=draw(st.integers(0, 12)),
+        misfetch_penalty=draw(st.integers(0, 4)),
+        taken_bubble=draw(st.integers(0, 2)),
+    )
+    return case + (model,)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stream=fetch_streams())
+def test_vectorised_fetch_matches_loop(stream):
+    _assert_same_frontend(*stream)
+
+
+@pytest.mark.parametrize("width", [1, 6])
+@pytest.mark.parametrize(
+    "idx, taken, correct, instructions",
+    [
+        ([], [], [], 0),  # no branches, no instructions
+        ([], [], [], 13),  # no branches: one tail run
+        ([3, 7, 12], [0, 1, 1], [1, 0, 1], 13),  # last branch ends it
+        ([0, 4, 9], [0, 0, 0], [1, 1, 1], 20),  # no run ever breaks
+        ([0, 1, 2], [1, 1, 0], [1, 1, 0], 3),  # back-to-back breaks
+    ],
+    ids=["empty", "no-branches", "zero-tail", "never-breaks", "dense"],
+)
+def test_vectorised_fetch_edge_cases(width, idx, taken, correct,
+                                     instructions):
+    trace, flags = _fetch_case(
+        idx, taken, correct, [1] * len(idx), instructions
+    )
+    _assert_same_frontend(trace, flags, FetchModel(width=width))

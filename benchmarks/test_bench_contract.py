@@ -10,9 +10,9 @@ One acceptance gate guards the static/dynamic contract checker:
   :class:`~repro.analysis.ContractChecker` installed as the simulation
   collector must cost < 5% over a plain no-collector run.  Disarmed,
   the checker advertises an unreachable sampling phase (rate
-  ``2**60``, seed 1); the driver detects that no sample can ever fire
-  and short-circuits to the no-collector path, so the whole checker
-  reduces to one reachability test at simulation start.  A regression
+  ``2**60``, seed 1); the driver's event post-pass finds no sampled
+  index and returns, so the whole checker reduces to one reachability
+  test after the replay.  A regression
   here means contract checking leaked work into the common case.
 
 Unlike the profiler/telemetry gates (median of interleaved pair

@@ -4,12 +4,13 @@ Run with::
 
     pytest benchmarks/test_bench_profiler.py --benchmark-only -s
 
-Two acceptance gates guard the :func:`simulate` hot loop:
+Two acceptance gates guard :func:`simulate` against its profiler
+events, which a post-pass builds after the replay from the trace, the
+replay plan and the mispredict vector:
 
-* ``bench_collector_disabled_gate`` — with no collector installed the
-  event machinery must cost < 3%.  The disabled path is a single
-  sentinel integer comparison per branch (``i == next_sample`` with
-  ``next_sample = -1``), so anything above noise level fails.
+* ``bench_collector_disabled_gate`` — a collector that samples no
+  branch must cost < 3%.  The post-pass then returns as soon as it has
+  found no sampled index, so anything above noise level fails.
 * ``bench_sampled_collection_gate`` — an :class:`AggregatingCollector`
   at 1-in-64 sampling must stay < 15% over the no-collector run.
 
@@ -84,15 +85,11 @@ def _report(measured, label):
 def bench_collector_disabled_gate(benchmark):
     """Event machinery armed but never sampling vs no collector: < 3%.
 
-    With ``collector=None`` the only trace of the profiler in the hot
-    loop is one dead integer comparison against a ``-1`` sentinel — the
-    pre-profiler loop is not timeable at runtime, so the gate instead
-    installs a collector whose sampling phase lies past the end of the
-    trace.  The driver detects that no sample can ever fire and
-    short-circuits to the no-collector path (no event closure, no
-    per-branch sentinel work), so the gate requires that installing it
-    costs < 3%.  Any regression that charges the common case for a
-    collector that never fires trips this.
+    The gate installs a collector whose sampling phase lies past the end
+    of the trace.  The event post-pass finds no sampled index and
+    returns before building anything, so the gate requires that
+    installing it costs < 3%.  Any regression that charges the common
+    case for a collector that never fires trips this.
     """
     trace = get_workload("compress").trace(scale="small")
     options = SimOptions()

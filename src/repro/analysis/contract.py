@@ -15,11 +15,11 @@ Three enforcement surfaces, one :class:`StaticContract`:
 
 * :class:`ContractChecker` — an
   :class:`~repro.profiler.collector.EventCollector` validating sampled
-  :class:`~repro.profiler.events.PredictionEvent` streams in-line with
-  the object-core driver.  Disarmed it advertises a sampling rate no
-  trace reaches, so the driver's sentinel skips the event path entirely
-  (the profiler's own <3%-overhead trick; the contract benchmark gate
-  holds it under 5%).
+  :class:`~repro.profiler.events.PredictionEvent` streams from any
+  simulation core.  Disarmed it advertises a sampling rate no trace
+  reaches, so the driver skips the event pass entirely (the profiler's
+  own <3%-overhead trick; the contract benchmark gate holds it under
+  5%).
 * :func:`check_trace` — vectorised validation of *every* branch of a
   recorded trace (works for all cores, since the trace precedes them),
   including the define-stream reachability check.
@@ -63,9 +63,9 @@ DEFINE_NOT_REACHING = "define-not-reaching"
 DEFINE_NOT_RECORDED = "define-not-recorded"
 UNKNOWN_SITE = "unknown-branch-site"
 
-#: A sampling rate no finite trace reaches: the driver's sentinel
-#: ``(-seed) % rate`` never equals a branch index, so a disarmed
-#: checker costs one integer comparison per branch.
+#: A sampling rate no finite trace reaches: the first sampled index
+#: ``(-seed) % rate`` lies past the last branch, so a disarmed checker
+#: receives no event and costs nothing per branch.
 DISARMED_RATE = 1 << 60
 
 
@@ -236,8 +236,8 @@ class ContractChecker(EventCollector):
     """EventCollector validating sampled events against the contract.
 
     ``armed=False`` keeps the checker installable but inert: it
-    advertises :data:`DISARMED_RATE`, so the driver's sampling sentinel
-    never fires and the per-branch cost is one comparison (mirroring
+    advertises :data:`DISARMED_RATE`, so no branch is ever sampled and
+    the driver's event pass returns before doing any work (mirroring
     the no-collector path; the benchmark gate pins this under 5%).
 
     ``fail_fast`` raises :class:`ContractError` on the first violating
@@ -519,7 +519,7 @@ def run_contract_gate(
     Compiles the workload, runs predflow, records/loads the trace, then
     (1) checks the whole trace, (2) simulates with SFP+PGU and
     ``record_flags`` on the requested core and checks the flags, and
-    (3) on the object core additionally installs an armed
+    (3) checks every event of that run with an armed
     :class:`ContractChecker` at sampling rate 1.
     """
     from repro.compiler import config as config_mod
@@ -548,9 +548,7 @@ def run_contract_gate(
         pgu=PGUConfig(),
         record_flags=True,
     )
-    checker = None
-    if core == "object":
-        checker = ContractChecker(contract, spec=ProfileSpec(rate=1))
+    checker = ContractChecker(contract, spec=ProfileSpec(rate=1))
     result = simulate(
         trace,
         make_predictor(predictor_name),
@@ -566,13 +564,12 @@ def run_contract_gate(
             squash_known_true=options.sfp.squash_known_true,
         )
     )
-    if checker is not None:
-        violations.extend(checker.violations)
+    violations.extend(checker.violations)
     return GateResult(
         workload=workload_name,
         config="hyperblock" if hyperblocks else "baseline",
         core=core,
         branches=int(trace.num_branches),
-        events_checked=checker.events_checked if checker else 0,
+        events_checked=checker.events_checked,
         violations=violations,
     )

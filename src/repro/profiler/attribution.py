@@ -43,6 +43,8 @@ REPORT_SCHEMA_VERSION = 1
 #: never written are counted separately (``AVAIL_NEVER``).
 AVAIL_BUCKETS: Tuple[int, ...] = (0, 1, 2, 4, 8, 16, 32, 64)
 
+_NOT_FILTERED = int(SFPDecision.NOT_FILTERED)
+
 
 def avail_bucket_labels() -> List[str]:
     """Human-readable labels for :data:`AVAIL_BUCKETS` (+ overflow)."""
@@ -181,6 +183,7 @@ class AttributionAggregator:
     def add(self, event: PredictionEvent) -> None:
         """Fold one event into every view."""
         self.events += 1
+        branch_class = int(event.branch_class)
         key = (self.workload, event.pc)
         record = self.sites.get(key)
         if record is None:
@@ -190,32 +193,35 @@ class AttributionAggregator:
                 function=event.function,
                 region_id=event.region_id,
                 region_based=event.region_based,
-                branch_class=int(event.branch_class),
+                branch_class=branch_class,
             )
         correct = event.predicted == event.taken
-        filtered = event.sfp != SFPDecision.NOT_FILTERED
+        sfp = int(event.sfp)
+        filtered = sfp != _NOT_FILTERED
+        wrong = not correct and not filtered
         record.executions += 1
         record.taken += int(event.taken)
         if filtered:
             record.filtered += 1
             if not correct:
                 record.filtered_wrong += 1
-        elif not correct:
+        elif wrong:
             record.mispredictions += 1
 
-        cls = self.classes.get(int(event.branch_class))
+        cls = self.classes.get(branch_class)
         if cls is None:
-            cls = self.classes[int(event.branch_class)] = [0, 0, 0]
+            cls = self.classes[branch_class] = [0, 0, 0]
         cls[0] += 1
-        cls[1] += int(not correct and not filtered)
-        cls[2] += int(filtered)
+        cls[1] += wrong
+        cls[2] += filtered
 
-        self.sfp[int(event.sfp)] = self.sfp.get(int(event.sfp), 0) + 1
-        path = self.pgu.get(int(event.pgu))
+        self.sfp[sfp] = self.sfp.get(sfp, 0) + 1
+        pgu = int(event.pgu)
+        path = self.pgu.get(pgu)
         if path is None:
-            path = self.pgu[int(event.pgu)] = [0, 0]
+            path = self.pgu[pgu] = [0, 0]
         path[0] += 1
-        path[1] += int(correct)
+        path[1] += correct
 
         self.avail_all.observe(event.avail)
         if event.region_based:
@@ -226,8 +232,8 @@ class AttributionAggregator:
         if point is None:
             point = self.timeline[slot] = [0, 0, 0]
         point[0] += 1
-        point[1] += int(not correct and not filtered)
-        point[2] += int(filtered)
+        point[1] += wrong
+        point[2] += filtered
 
     # -- aggregation -------------------------------------------------------
 

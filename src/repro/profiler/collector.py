@@ -1,9 +1,11 @@
 """Event collectors: where the driver's prediction events go.
 
-:func:`repro.sim.driver.simulate` takes an optional collector; when none
-is installed the per-branch event machinery is skipped entirely (a
-sentinel comparison per branch — the profiler benchmark gate holds the
-disabled path under 3% overhead).  Collectors own the deterministic
+:func:`repro.sim.driver.simulate` takes an optional collector, on any
+simulation core: after the replay, a post-pass builds the event of every
+sampled branch from the trace, the replay plan and the mispredict
+vector.  With no collector, or one that samples no branch, the pass does
+nothing (the profiler benchmark gate holds an idle collector under 3%
+overhead).  Collectors own the deterministic
 sampling parameters (via :class:`~repro.profiler.spec.ProfileSpec`) and
 whatever storage policy fits the consumer:
 
@@ -68,8 +70,8 @@ class EventCollector:
     """Base collector: sampling parameters plus the receive hook.
 
     The driver reads :attr:`rate` and :attr:`seed` once per simulation
-    and calls :meth:`collect` only for sampled events, so subclasses
-    never re-check the sampling decision.
+    and calls :meth:`collect` only for sampled events, in stream order,
+    so subclasses never re-check the sampling decision.
     """
 
     def __init__(self, spec: ProfileSpec = ProfileSpec(),

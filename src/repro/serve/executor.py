@@ -100,8 +100,6 @@ def _exec_profile(spec: dict, core: str) -> Dict[str, float]:
     trace = _trace(spec["workload"], spec["scale"], spec["baseline"])
     profile = ProfileSpec(rate=spec["rate"], seed=spec["seed"])
     collector = AggregatingCollector(profile, workload=spec["workload"])
-    # Collectors force the object core inside simulate(); the knob is
-    # still passed so the envelope reflects the daemon's configuration.
     result = simulate(
         trace, build_predictor(spec), build_options(spec),
         collector=collector, core=core,

@@ -1,9 +1,12 @@
-"""Simulation-core selection: ``object`` (reference) vs ``fast``/``numpy``.
+"""Simulation-core selection: ``object`` vs ``fast``/``numpy``.
 
-The driver's object-model loop in :mod:`repro.sim.driver` is the
-reference implementation; :mod:`repro.sim.fastcore` replays pre-decoded
-flat arrays through allocation-free kernels and must stay bit-identical
-(the differential suite enforces this).  Because metrics are identical,
+Every core replays the same pre-decoded replay plan
+(:mod:`repro.sim.fastcore`): ``object`` drives the object predictor
+event by event — the readable path, and the only one for predictors
+without a kernel — while ``fast`` and ``numpy`` replay flat,
+allocation-free kernels.  All of them must stay bit-identical to the
+branch-by-branch oracle ``tests/driver_oracle.py`` (the differential
+suites enforce this).  Because metrics are identical,
 the core choice is *not* part of a run's identity: it lives in the
 RunRecord envelope, never the payload, and the same config produces the
 same ``run_id`` on every core.

@@ -1,57 +1,38 @@
-"""The trace-driven simulation loop.
+"""The trace-driven simulation driver.
 
 :func:`simulate` replays a trace's branch stream through one predictor
 under a front-end configuration: the availability distance ``D``, the
-squash false-path filter, and predicate global update.  The driver owns
-the global history register because the paper's mechanisms manipulate it;
-predictors just consume the history value they are handed.
+squash false-path filter, and predicate global update.  The front end
+is decoded once, into a replay plan
+(:func:`repro.sim.fastcore.plan_for`): every branch's predict-time
+global history (branch outcomes and predicate defines shifted in the
+order fetch sees them), the squash mask, and the ordered stream of
+predictor reads and table updates, delayed-update drains included.
+Predictors just consume the history value they are handed.
 
-Event ordering: branches are processed in fetch order.  Before predicting
-the branch at dynamic index ``j``, every predicate define that became
-visible by ``j`` (``d_idx + delay <= j``) is shifted into history — this
-interleaves predicate bits and branch outcomes in the order the front end
-would see them.
+Every core shares one body.  A core only decides which branches
+mispredicted — the object predictor stepping through the plan's events
+(``object``) or its flat kernel (``fast``, ``numpy``) — and everything
+else derives from that mispredict vector here: per-class statistics,
+flags, BTB misfetches, profiler events and the ``sim.*`` counters.  The
+branch-by-branch loop this replaced is the independent oracle
+``tests/driver_oracle.py``.
 """
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from repro import telemetry
-from repro.pipeline.availability import (
-    DEFAULT_DISTANCE,
-    pgu_defines,
-    squash_mask,
-)
-from repro.pipeline.btb import BTBConfig, BranchTargetBuffer
-from repro.pipeline.frontend import GlobalHistory
+from repro.pipeline.availability import DEFAULT_DISTANCE
+from repro.pipeline.btb import BTBConfig
 from repro.predictors.base import BranchPredictor
-from repro.predictors.perfect import PerfectPredictor
 from repro.predictors.pgu import PGUConfig
 from repro.predictors.sfp import SFPConfig
-from repro.predictors.static import StaticPredictor
-from repro.profiler.events import (
-    AVAIL_NEVER,
-    CONF_PERFECT,
-    CONF_UNKNOWN,
-    PGUPath,
-    PredictionEvent,
-    SFPDecision,
-)
 from repro.sim.stats import ClassStats
 from repro.trace.container import BranchClass, Trace
-
-# Enum values pre-bound as ints: the profiled event path is inside the
-# per-branch loop, where attribute lookups on IntEnum members cost real
-# time at sampling rate 1.
-_SFP_NOT_FILTERED = int(SFPDecision.NOT_FILTERED)
-_SFP_FILTERED_CORRECT = int(SFPDecision.FILTERED_CORRECT)
-_SFP_FILTERED_WRONG = int(SFPDecision.FILTERED_WRONG)
-_PGU_OFF = int(PGUPath.OFF)
-_PGU_UPDATE = int(PGUPath.UPDATE)
-_PGU_INSERT = int(PGUPath.INSERT)
-
 
 @dataclass(frozen=True)
 class SimOptions:
@@ -186,19 +167,20 @@ def simulate(
     :class:`~repro.profiler.events.PredictionEvent` for every sampled
     dynamic branch — sampling is the collector's deterministic
     1-in-``rate`` decision keyed on the branch's stream index, so the
-    event stream is identical run to run.  With no collector the event
-    path reduces to one sentinel comparison per branch.
+    event stream is identical run to run and core to core.  The events
+    come from a post-pass over the finished replay; with no collector,
+    or one whose first sample lies past the last branch, that pass
+    does nothing.
 
-    ``core`` selects the execution engine: ``"object"`` (this loop, the
-    reference), ``"fast"`` (flat kernels over a pre-decoded stream) or
+    ``core`` selects who replays the plan: ``"object"`` (the object
+    predictor, event by event), ``"fast"`` (its flat kernel) or
     ``"numpy"`` (batched table replay); ``None`` resolves through
     :func:`repro.sim.core.resolve_core` (context, then
     ``$REPRO_SIM_CORE``, then ``"object"``).  Results are bit-identical
-    across cores; points the fast cores cannot model exactly —
-    predictors without a kernel (static, perfect) and profiler
-    collectors — run here regardless of the knob.  Every call counts
-    ``sim.core.<used>``; a fallback also counts
-    ``sim.fallback.<reason>`` (``predictor`` or ``collector``).
+    across cores; a predictor without a kernel (static, perfect,
+    subclasses) runs on the object core regardless of the knob.  Every
+    call counts ``sim.core.<used>``; such a fallback also counts
+    ``sim.fallback.predictor``.
 
     With tracing on (:mod:`repro.telemetry.tracing`) the run is wrapped
     in a ``sim.driver`` trace span; this is trace-only — the ``sim.*``
@@ -226,227 +208,91 @@ def _simulate(
     core: str,
 ) -> SimResult:
     """The driver body; ``core`` arrives resolved (see :func:`simulate`)."""
+    from repro.sim import fastcore
+
     fallback = None
-    if core != "object":
-        from repro.sim import fastcore
-
-        if fastcore.supported(predictor, options, collector):
-            return fastcore.run_fast(
-                trace, predictor, options, core=core
+    if core != "object" and not fastcore.kernelizable(predictor):
+        core, fallback = "object", "predictor"
+    # On a kernel core a decode gets its own trace span; a cache hit
+    # still takes its sequence number, so the replay span's id does not
+    # depend on what this process decoded before.
+    decode = nullcontext()
+    if core != "object" and telemetry.tracing_enabled():
+        if fastcore.cached_plan(trace, options) is None:
+            decode = telemetry.trace_span(
+                "fastcore.decode", workload=trace.meta.workload or "<trace>"
             )
-        fallback = (
-            "collector" if fastcore.kernelizable(predictor)
-            else "predictor"
-        )
-    history = GlobalHistory(options.history_bits)
-    sfp = options.sfp
-    pgu = options.pgu
-    squashable = squash_mask(trace, options)
-    d_idx, d_value, delay = pgu_defines(trace, options)
-    d_idx = d_idx.tolist()
-    d_value = d_value.tolist()
-    num_defs = len(d_idx)
-
-    b_pc = trace.b_pc.tolist()
-    b_idx = trace.b_idx.tolist()
-    b_taken = trace.b_taken.tolist()
-    b_target = trace.b_target.tolist()
-    classes = trace.branch_classes().tolist()
-    squash_list = squashable.tolist() if squashable is not None else None
-
-    is_static = isinstance(predictor, StaticPredictor)
-    is_perfect = isinstance(predictor, PerfectPredictor)
-    predict = predictor.predict
-    update = predictor.update
-    shift = history.shift
-
-    mispredictions = 0
-    squashed = 0
-    per_class = {
-        BranchClass.NORMAL: ClassStats(),
-        BranchClass.REGION: ClassStats(),
-        BranchClass.LOOP: ClassStats(),
-    }
-    dptr = 0
-    delayed = options.delayed_update
-    resolve_after = options.distance
-    pending = []  # (apply_at, pc, ghr, taken) when delayed_update
-    pptr = 0
-    btb = (
-        BranchTargetBuffer(options.btb) if options.btb is not None else None
-    )
-    misfetches = 0
-    record = options.record_flags
-    f_correct = [] if record else None
-    f_squashed = [] if record else None
-    f_misfetch = [] if record else None
-
-    # Profiling: `next_sample` is the only per-branch cost when no
-    # collector is installed (it stays -1, which no index reaches).
-    # A first sample past the last branch can never fire (sample
-    # indices only grow), so skip the event plumbing entirely: a
-    # disarmed contract checker or a past-the-end phase costs nothing.
-    emitting = (
-        collector is not None
-        and (-collector.seed) % collector.rate < len(b_pc)
-    )
-    if emitting:
-        p_rate = collector.rate
-        next_sample = (-collector.seed) % p_rate
-        collect = collector.collect
-        pb_guard = trace.b_guard.tolist()
-        pb_guard_def = trace.b_guard_def.tolist()
-        pb_region = trace.b_region.tolist()
-        pgu_on = pgu is not None
-
-        def emit_event(i, j, predicted, taken, sfp_code, conf):
-            # Predicate bits inserted since the previous branch: the
-            # defines whose visibility index lands in (j_prev, j].
-            if pgu_on:
-                prev_j = b_idx[i - 1] if i else -1
-                k = dptr
-                while k and d_idx[k - 1] + delay > prev_j:
-                    k -= 1
-                bits = dptr - k
-                pgu_code = _PGU_INSERT if bits else _PGU_UPDATE
-            else:
-                bits = 0
-                pgu_code = _PGU_OFF
-            guard_def = pb_guard_def[i]
-            collect(PredictionEvent(
-                seq=i,
-                pc=b_pc[i],
-                branch_class=classes[i],
-                region_based=pb_region[i],
-                guard=pb_guard[i],
-                avail=(j - guard_def) if guard_def >= 0 else AVAIL_NEVER,
-                sfp=sfp_code,
-                pgu=pgu_code,
-                pgu_bits=bits,
-                predicted=predicted,
-                taken=taken,
-                conf=conf,
-            ))
-    else:
-        p_rate = 0
-        next_sample = -1
-        emit_event = None
-
-    for i in range(len(b_pc)):
-        j = b_idx[i]
-        while dptr < num_defs and d_idx[dptr] + delay <= j:
-            shift(d_value[dptr])
-            dptr += 1
-        if delayed:
-            while pptr < len(pending) and pending[pptr][0] <= j:
-                __, pc_, ghr_, taken_ = pending[pptr]
-                update(pc_, ghr_, taken_)
-                pptr += 1
-
-        stats = per_class[classes[i]]
-        stats.branches += 1
-        taken = b_taken[i]
-
-        if squash_list is not None and squash_list[i]:
-            # Guard resolved by fetch: the direction is certain (a guard
-            # known false cannot be taken; with squash_known_true, a
-            # guard known true must be).
-            squashed += 1
-            stats.squashed += 1
-            if sfp.update_pht:
-                update(b_pc[i], history.bits, taken)
-            if sfp.update_history:
-                shift(taken)
-            missed_target = False
-            if btb is not None and taken:
-                # A known-true squash still needs the target.
-                if btb.lookup(b_pc[i]) is None:
-                    misfetches += 1
-                    missed_target = True
-                if b_target[i] >= 0:
-                    btb.insert(b_pc[i], b_target[i])
-            if record:
-                f_correct.append(True)
-                f_squashed.append(True)
-                f_misfetch.append(missed_target)
-            if i == next_sample:
-                next_sample += p_rate
-                asserted = taken if sfp.squash_known_true else False
-                emit_event(
-                    i, j, asserted, taken,
-                    _SFP_FILTERED_CORRECT if asserted == taken
-                    else _SFP_FILTERED_WRONG,
-                    CONF_PERFECT,
-                )
-            continue
-
-        if is_static:
-            predictor.set_target(b_target[i])
-        elif is_perfect:
-            predictor.set_outcome(taken)
-        ghr = history.bits
-        predicted = predict(b_pc[i], ghr)
-        if delayed:
-            pending.append((j + resolve_after, b_pc[i], ghr, taken))
         else:
-            update(b_pc[i], ghr, taken)
-        shift(taken)
-        if predicted != taken:
-            mispredictions += 1
-            stats.mispredictions += 1
-        missed_target = False
-        if btb is not None:
-            if predicted and taken and btb.lookup(b_pc[i]) is None:
-                # Right direction, no target by fetch: a misfetch.
-                misfetches += 1
-                missed_target = True
-            if taken and b_target[i] >= 0:
-                btb.insert(b_pc[i], b_target[i])
-        if record:
-            f_correct.append(predicted == taken)
-            f_squashed.append(False)
-            f_misfetch.append(missed_target)
-        if i == next_sample:
-            next_sample += p_rate
-            emit_event(
-                i, j, predicted, taken, _SFP_NOT_FILTERED, CONF_UNKNOWN
-            )
+            telemetry.skip_span()
+    with decode:
+        plan = fastcore.plan_for(trace, options)
+    if core == "object":
+        mis = fastcore.object_replay(predictor, plan, trace.b_target)
+    else:
+        core, mis = fastcore.kernel_replay(predictor, plan, core)
 
-    # Duck-typed: any collector that exposes an `aggregator` (e.g.
-    # AggregatingCollector, or a Tee wrapping one) rides back on the
-    # result, which is how sweep workers ship attribution to the parent.
-    attribution = (
-        getattr(collector, "aggregator", None)
-        if collector is not None
-        else None
-    )
+    n = plan.n
+    squash = plan.squash
+    if options.btb is not None:
+        misfetched = fastcore.btb_misfetches(
+            plan, mis, trace.b_target, options.btb
+        )
+    else:
+        misfetched = np.zeros(0, dtype=np.int64)
+
+    branch_counts = np.bincount(plan.cls, minlength=3)
+    mis_counts = np.bincount(plan.cls[mis], minlength=3)
+    if squash is not None:
+        squash_counts = np.bincount(plan.cls[squash], minlength=3)
+    else:
+        squash_counts = np.zeros(3, dtype=np.int64)
+    per_class = {
+        branch_class: ClassStats(
+            branches=int(branch_counts[int(branch_class)]),
+            mispredictions=int(mis_counts[int(branch_class)]),
+            squashed=int(squash_counts[int(branch_class)]),
+        )
+        for branch_class in (
+            BranchClass.NORMAL, BranchClass.REGION, BranchClass.LOOP
+        )
+    }
+
+    flags = None
+    if options.record_flags:
+        correct = np.ones(n, dtype=bool)
+        correct[mis] = False
+        misfetch = np.zeros(n, dtype=bool)
+        misfetch[misfetched] = True
+        squashed = (
+            squash.copy() if squash is not None else np.zeros(n, dtype=bool)
+        )
+        flags = BranchFlags(correct, squashed, misfetch)
+
+    attribution = None
+    if collector is not None:
+        fastcore.emit_events(collector, trace, plan, mis)
+        # Duck-typed: any collector that exposes an `aggregator` (e.g.
+        # AggregatingCollector, or a Tee wrapping one) rides back on the
+        # result, which is how sweep workers ship attribution to the
+        # parent.
+        attribution = getattr(collector, "aggregator", None)
     result = SimResult(
         predictor=predictor.name,
         options=options,
-        workload=trace.meta.workload or "<trace>",
-        instructions=trace.meta.instructions,
-        branches=trace.num_branches,
-        mispredictions=mispredictions,
-        squashed=squashed,
+        workload=plan.workload,
+        instructions=plan.instructions,
+        branches=n,
+        mispredictions=int(mis.shape[0]),
+        squashed=int(squash.sum()) if squash is not None else 0,
         per_class=per_class,
-        misfetches=misfetches,
-        flags=(
-            BranchFlags(
-                correct=np.asarray(f_correct, dtype=bool),
-                squashed=np.asarray(f_squashed, dtype=bool),
-                misfetch=np.asarray(f_misfetch, dtype=bool),
-            )
-            if record
-            else None
-        ),
+        misfetches=int(misfetched.shape[0]),
+        flags=flags,
         attribution=attribution,
     )
     if telemetry.enabled():
-        # Coarse end-of-run counters only: the per-branch loop above is
-        # the hot path and stays uninstrumented.
         registry = telemetry.get_registry()
-        record_sim_counters(registry, result, pptr)
-        registry.counter("sim.core.object").inc()
+        record_sim_counters(registry, result, plan.applied_updates)
+        registry.counter(f"sim.core.{core}").inc()
         if fallback is not None:
             registry.counter(f"sim.fallback.{fallback}").inc()
     return result

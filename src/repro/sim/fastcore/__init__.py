@@ -1,21 +1,17 @@
-"""Flat-kernel fast simulation core.
+"""The replay plan and the simulation cores that replay it.
 
-``repro.sim.fastcore`` replays pre-decoded branch streams through
-allocation-free predictor kernels, bit-identically to the reference
-object-model loop in :mod:`repro.sim.driver` (the differential suite in
-``tests/test_fastcore_differential.py`` enforces the equivalence over
-the whole workload suite).  See ``docs/fast-core.md`` for the kernel
-ABI, the pre-decode layout and how to add a kernel.
-
-Entry point: :func:`run_fast`, reached through
-``simulate(..., core="fast"|"numpy")``.  The object core remains the
-reference and the only path for predictors without a kernel (static,
-perfect) and for profiler collectors — ``simulate`` falls back
-automatically (see :func:`supported`).  A BTB is modelled by an exact
-post-pass over the replayed directions
-(:func:`~repro.sim.fastcore.replay.btb_misfetches`); a JRS confidence
-estimator by another (:func:`~repro.sim.fastcore.replay.jrs_confidence`,
-used by :func:`repro.sim.confidence.simulate_with_confidence`).
+:func:`plan_for` decodes (and caches) a (trace, options) pair into a
+:class:`~repro.sim.fastcore.decode.ReplayPlan`, the only derivation of
+the front end's event stream.  The ``object`` core replays it through
+the object predictor (:func:`~repro.sim.fastcore.replay.object_replay`,
+the only path for predictors without a kernel), ``fast`` and ``numpy``
+through a flat kernel (:func:`kernel_replay`).  Each returns the
+mispredicted branches, from which :func:`repro.sim.driver.simulate`
+builds every statistic; profiler events, a BTB and a JRS confidence
+estimator are post-passes over them (:func:`emit_events`,
+:func:`btb_misfetches`, :func:`jrs_confidence`).  Every core is checked
+against the branch-by-branch oracle ``tests/driver_oracle.py``; see
+``docs/fast-core.md`` for the kernel ABI and the plan layout.
 """
 
 import threading
@@ -23,16 +19,10 @@ import time
 import weakref
 from collections import OrderedDict
 from dataclasses import replace
-
-import numpy as np
+from typing import Optional
 
 from repro import telemetry
-from repro.sim.driver import (
-    BranchFlags,
-    SimOptions,
-    SimResult,
-    record_sim_counters,
-)
+from repro.sim.driver import SimOptions
 from repro.sim.fastcore.batch import batch_replay, batch_supported
 from repro.sim.fastcore.decode import ReplayPlan, build_plan
 from repro.sim.fastcore.kernels import (
@@ -43,11 +33,11 @@ from repro.sim.fastcore.kernels import (
 )
 from repro.sim.fastcore.replay import (
     btb_misfetches,
+    emit_events,
     fast_replay,
     jrs_confidence,
+    object_replay,
 )
-from repro.sim.stats import ClassStats
-from repro.trace.container import BranchClass
 
 __all__ = [
     "KERNEL_BUILDERS",
@@ -57,24 +47,16 @@ __all__ = [
     "batch_supported",
     "btb_misfetches",
     "build_plan",
+    "cached_plan",
+    "emit_events",
     "fast_replay",
     "jrs_confidence",
     "kernel_from_predictor",
+    "kernel_replay",
     "kernelizable",
+    "object_replay",
     "plan_for",
-    "run_fast",
-    "supported",
 ]
-
-
-def supported(predictor, options: SimOptions, collector=None) -> bool:
-    """Can the fast cores run this point exactly?
-
-    Profiler collectors are object-core-only; so is any predictor
-    without a registered kernel (static, perfect, subclasses).  BTB
-    modelling runs on every core.
-    """
-    return collector is None and kernelizable(predictor)
 
 
 #: Replay plans kept process-wide, least recently used out first:
@@ -93,6 +75,31 @@ def _reads_distance(options: SimOptions) -> bool:
     )
 
 
+def _plan_key(trace, options: SimOptions):
+    """``(cache key, options the decode reads)`` for ``(trace, options)``."""
+    unused = {}
+    if options.btb is not None:
+        unused["btb"] = None
+    if options.record_flags:
+        unused["record_flags"] = False
+    if options.distance and not _reads_distance(options):
+        unused["distance"] = 0
+    if unused:
+        options = replace(options, **unused)
+    return (id(trace), repr(options)), options
+
+
+def cached_plan(trace, options: SimOptions) -> Optional[ReplayPlan]:
+    """The cached replay plan for ``(trace, options)``, or ``None``."""
+    key, _ = _plan_key(trace, options)
+    with _PLANS_LOCK:
+        entry = _PLANS.get(key)
+        if entry is None or entry[0]() is not trace:
+            return None
+        _PLANS.move_to_end(key)
+        return entry[1]
+
+
 def plan_for(trace, options: SimOptions) -> ReplayPlan:
     """Build (or reuse) the replay plan for ``(trace, options)``.
 
@@ -109,21 +116,10 @@ def plan_for(trace, options: SimOptions) -> ReplayPlan:
     however many traces stay alive, and a later object that reuses a
     dead trace's id misses.
     """
-    unused = {}
-    if options.btb is not None:
-        unused["btb"] = None
-    if options.record_flags:
-        unused["record_flags"] = False
-    if options.distance and not _reads_distance(options):
-        unused["distance"] = 0
-    if unused:
-        options = replace(options, **unused)
-    key = (id(trace), repr(options))
-    with _PLANS_LOCK:
-        entry = _PLANS.get(key)
-        if entry is not None and entry[0]() is trace:
-            _PLANS.move_to_end(key)
-            return entry[1]
+    plan = cached_plan(trace, options)
+    if plan is not None:
+        return plan
+    key, options = _plan_key(trace, options)
     plan = build_plan(trace, options)
     with _PLANS_LOCK:
         _PLANS[key] = (weakref.ref(trace), plan)
@@ -133,99 +129,28 @@ def plan_for(trace, options: SimOptions) -> ReplayPlan:
     return plan
 
 
-def run_fast(
-    trace,
-    predictor,
-    options: SimOptions = SimOptions(),
-    core: str = "fast",
-) -> SimResult:
-    """Simulate on a flat kernel; bit-identical to the object core.
+def kernel_replay(predictor, plan: ReplayPlan, core: str):
+    """Replay ``plan`` on ``predictor``'s flat kernel.
 
-    ``core="numpy"`` uses the batched backend when the kernel supports
-    it and the scalar fast loop otherwise; the ``sim.core.<used>``
-    counter names the one that ran.
+    Returns ``(used, mis)``: the core that ran (``numpy`` runs the
+    batched backend when the kernel supports it and the scalar fast
+    loop otherwise) and the mispredicted branch indices.  The replay
+    runs in a ``fastcore.replay`` trace span, which is trace-only: the
+    registry's counter set is the same with tracing on or off.
     """
-    if core not in ("fast", "numpy"):
-        raise ValueError(f"run_fast cannot execute core {core!r}")
     kernel = kernel_from_predictor(predictor)
+    used = "numpy" if core == "numpy" and batch_supported(kernel) else "fast"
     start = time.perf_counter()
-    # Trace-only annotation (no registry instruments): the fastcore.*
-    # counter set below must stay identical with tracing on or off.
     with telemetry.trace_span(
-        "fastcore.replay",
-        workload=trace.meta.workload or "<trace>",
-        kernel=kernel.name,
+        "fastcore.replay", workload=plan.workload, kernel=kernel.name
     ):
-        plan = plan_for(trace, options)
-        if core == "numpy" and batch_supported(kernel):
-            used = "numpy"
+        if used == "numpy":
             mis = batch_replay(kernel, plan)
         else:
-            used = "fast"
             mis = fast_replay(kernel, plan)
     wall = time.perf_counter() - start
-
-    n = plan.n
-    squash = plan.squash
-    if options.btb is not None:
-        misfetched = btb_misfetches(
-            plan, mis, trace.b_target, options.btb
-        )
-    else:
-        misfetched = np.zeros(0, dtype=np.int64)
-
-    branch_counts = np.bincount(plan.cls, minlength=3)
-    mis_counts = np.bincount(plan.cls[mis], minlength=3)
-    if squash is not None:
-        squash_counts = np.bincount(plan.cls[squash], minlength=3)
-    else:
-        squash_counts = np.zeros(3, dtype=np.int64)
-    per_class = {
-        branch_class: ClassStats(
-            branches=int(branch_counts[int(branch_class)]),
-            mispredictions=int(mis_counts[int(branch_class)]),
-            squashed=int(squash_counts[int(branch_class)]),
-        )
-        for branch_class in (
-            BranchClass.NORMAL, BranchClass.REGION, BranchClass.LOOP
-        )
-    }
-
-    flags = None
-    if options.record_flags:
-        correct = np.ones(n, dtype=bool)
-        correct[mis] = False
-        misfetch = np.zeros(n, dtype=bool)
-        misfetch[misfetched] = True
-        flags = BranchFlags(
-            correct=correct,
-            squashed=(
-                squash.copy()
-                if squash is not None
-                else np.zeros(n, dtype=bool)
-            ),
-            misfetch=misfetch,
-        )
-
-    result = SimResult(
-        predictor=predictor.name,
-        options=options,
-        workload=plan.workload,
-        instructions=plan.instructions,
-        branches=n,
-        mispredictions=int(mis.shape[0]),
-        squashed=int(squash.sum()) if squash is not None else 0,
-        per_class=per_class,
-        misfetches=int(misfetched.shape[0]),
-        flags=flags,
-        attribution=None,
-    )
-    if telemetry.enabled():
-        registry = telemetry.get_registry()
-        record_sim_counters(registry, result, plan.applied_updates)
-        registry.counter(f"sim.core.{used}").inc()
-        if wall > 0.0:
-            registry.gauge("fastcore.replay_branches_per_second").set(
-                n / wall
-            )
-    return result
+    if wall > 0.0 and telemetry.enabled():
+        telemetry.get_registry().gauge(
+            "fastcore.replay_branches_per_second"
+        ).set(plan.n / wall)
+    return used, mis

@@ -14,12 +14,13 @@ counter-table state remains serial, and that is what the replay loops
 A :class:`ReplayPlan` is one (trace, SimOptions) decode: per-branch
 predict-time history values, squash mask, branch classes, and the
 merged *event stream* (reads, delayed-update applications, squash
-train-PHT updates) in exactly the order the reference driver would
-perform them.  Which branches are squashed and which predicate defines
-enter history are the front end's rules
+train-PHT updates) in exactly the order a branch-by-branch front end
+performs them.  It is the only derivation of that stream: every
+simulation core replays it.  Which branches are squashed and which
+predicate defines enter history are the front end's rules
 (:func:`~repro.pipeline.availability.squash_mask`,
-:func:`~repro.pipeline.availability.pgu_defines`), shared with the
-driver; this module only applies them.
+:func:`~repro.pipeline.availability.pgu_defines`); this module only
+applies them.
 """
 
 from dataclasses import dataclass
@@ -45,7 +46,7 @@ class ReplayPlan:
     ghr: np.ndarray  #: uint64, predict-time history value per branch
     cls: np.ndarray  #: int8, per branch
     squash: Optional[np.ndarray]  #: bool per branch, None without SFP
-    # -- event stream, in reference-driver order -------------------------
+    # -- event stream, in front-end order --------------------------------
     ev_branch: np.ndarray  #: int64, branch each event belongs to
     ev_read: np.ndarray  #: uint8, event predicts (and counts stats)
     ev_trans: np.ndarray  #: uint8, event applies a counter transition
@@ -66,8 +67,8 @@ def _history_values(trace: Trace, options: SimOptions,
 
     The stream interleaves predicate-define bits (at their availability
     points) with branch-outcome bits (squashed branches emit only when
-    ``sfp.update_history``), exactly as the driver shifts them.  Each
-    branch's value is then the ``history_bits``-wide window of the
+    ``sfp.update_history``), in the order the history register receives
+    them.  Each branch's value is then the ``history_bits``-wide window of the
     stream before its read position — the register's LSB is the most
     recent bit (:func:`bit_windows`).
     """
@@ -172,9 +173,9 @@ def build_plan(trace: Trace, options: SimOptions) -> ReplayPlan:
         # update applies just before the first later branch whose fetch
         # index reaches apply_at = idx + distance (pending updates drain
         # before that branch predicts).  Updates never reached by a
-        # later branch stay pending forever, exactly like the driver's
+        # later branch stay pending forever, exactly like a pending-update
         # queue at end of trace.  Squash train-PHT updates are immediate
-        # even in delayed mode (the driver calls update() directly).
+        # even in delayed mode.
         read_idx = np.flatnonzero(participates).astype(np.int64)
         apply_at = trace.b_idx[read_idx] + options.distance
         target = np.searchsorted(trace.b_idx, apply_at, side="left")

@@ -9,7 +9,7 @@ its scalar ABI works entirely on integers:
   the state index the prediction read.
 * ``train(pc, ghist, taken) -> idx`` — full update path: recompute the
   index from the *stored* predict-time history (exactly what the
-  reference driver passes to ``BranchPredictor.update``), apply the
+  object core passes to ``BranchPredictor.update``), apply the
   saturating-counter transition plus any kernel side effects (the local
   kernel shifts its private history here), and return the index touched.
 

@@ -1,5 +1,10 @@
 """Scalar replay over pre-decoded event streams.
 
+:func:`object_replay` is the ``object`` core: it steps the object
+predictor itself through the plan's events, one ``predict`` or
+``update`` call at a time.  The rest of this module replays flat
+kernels (the ``fast`` core).
+
 Table kernels (bimodal, gshare, gselect, GAg, and local's pattern
 table) replay their 2-bit counters one *run* at a time:
 
@@ -46,9 +51,10 @@ TAGE slots and tags); only their serial table state stays in Python:
 They run a chunk of :data:`CHUNK_EVENTS` events at a time, so the
 per-event index lists never outgrow one chunk.
 
-Every path returns the *event positions* that mispredicted, ascending;
-the caller maps positions to branch indices through the plan's
-``ev_branch`` array and builds all statistics vectorised.
+Every kernel path returns the *event positions* that mispredicted,
+ascending; :func:`fast_replay` maps them to branch indices through the
+plan's ``ev_branch`` array, and the driver builds all statistics
+vectorised.
 """
 
 import operator
@@ -56,6 +62,17 @@ from typing import NamedTuple
 
 import numpy as np
 
+from repro.pipeline.availability import pgu_defines
+from repro.predictors.perfect import PerfectPredictor
+from repro.predictors.static import StaticPredictor
+from repro.profiler.events import (
+    AVAIL_NEVER,
+    CONF_PERFECT,
+    CONF_UNKNOWN,
+    PGUPath,
+    PredictionEvent,
+    SFPDecision,
+)
 from repro.sim.fastcore.decode import ReplayPlan
 from repro.sim.fastcore.kernels import (
     LocalKernel,
@@ -546,6 +563,42 @@ def fast_replay(kernel, plan: ReplayPlan) -> np.ndarray:
     return ev_branch[np.asarray(mis, dtype=np.int64)]
 
 
+def object_replay(predictor, plan: ReplayPlan,
+                  target: np.ndarray) -> np.ndarray:
+    """Replay the plan through an object predictor; mispredicted branches.
+
+    The ``object`` core: one ``predict`` per read event and one
+    ``update`` per transition event, each with the branch's
+    predict-time history, so the predictor trains exactly as the front
+    end drives it.  ``target`` holds the trace's per-branch targets: a
+    static predictor is told the target before each prediction, a
+    perfect one the outcome.  Returns ascending branch indices.
+    """
+    targets = (
+        target.tolist() if isinstance(predictor, StaticPredictor) else None
+    )
+    oracle = isinstance(predictor, PerfectPredictor)
+    pcs = plan.pc.tolist()
+    ghrs = plan.ghr.tolist()
+    takens = plan.taken.view(bool).tolist()
+    predict = predictor.predict
+    update = predictor.update
+    mis = []
+    for i, read, trans in zip(plan.ev_branch.tolist(),
+                              plan.ev_read.tolist(), plan.ev_trans.tolist()):
+        taken = takens[i]
+        if read:
+            if targets is not None:
+                predictor.set_target(targets[i])
+            elif oracle:
+                predictor.set_outcome(taken)
+            if predict(pcs[i], ghrs[i]) != taken:
+                mis.append(i)
+        if trans:
+            update(pcs[i], ghrs[i], taken)
+    return np.asarray(mis, dtype=np.int64)
+
+
 def btb_misfetches(plan: ReplayPlan, mis: np.ndarray, target: np.ndarray,
                    config) -> np.ndarray:
     """Branch indices that misfetch under a BTB of geometry ``config``.
@@ -555,15 +608,15 @@ def btb_misfetches(plan: ReplayPlan, mis: np.ndarray, target: np.ndarray,
 
     A post-pass over the finished replay: every direction is known by
     now (a non-squashed branch predicted ``taken ^ mispredicted``), so
-    the driver's BTB traffic replays exactly, over taken branches only.
-    A lookup happens where the driver looks up — taken and squashed, or
-    taken and predicted taken — and misses count as misfetches; an
+    fetch's BTB traffic replays exactly, over taken branches only.  A
+    lookup happens where fetch looks up — taken and squashed, or taken
+    and predicted taken — and misses count as misfetches; an
     insert follows wherever the branch has a target.  Returns carry no
     target, so a lookup there refreshes an entry's LRU position with no
     insert after it: the BTB state depends on the predictions, not on
     the trace alone.
 
-    An entry is just the branch's pc: within one set the driver's tag
+    An entry is just the branch's pc: within one set the BTB's tag
     (``pc >> log2(sets)``) determines the pc, and targets never decide
     a hit.
     """
@@ -600,6 +653,62 @@ def btb_misfetches(plan: ReplayPlan, mis: np.ndarray, target: np.ndarray,
                 del entries[0]
             entries.append(pc)
     return np.asarray(missed, dtype=np.int64)
+
+
+def emit_events(collector, trace, plan: ReplayPlan,
+                mis: np.ndarray) -> None:
+    """Hand ``collector`` the event of every sampled branch, in order.
+
+    A post-pass over the finished replay, like the BTB's: sampling
+    takes every ``rate``-th branch from index ``-seed mod rate``, and
+    every field is known once the mispredict vector ``mis`` is.  A
+    predicted branch asserted ``taken ^ mispredicted``, a squashed one
+    the filter's direction (taken only under ``squash_known_true``);
+    the PGU bits before a branch are the defines that became visible
+    since the previous branch.
+    """
+    sample = np.arange((-collector.seed) % collector.rate, plan.n,
+                       collector.rate)
+    if not sample.shape[0]:
+        return
+    taken = trace.b_taken[sample]
+    fetch = trace.b_idx[sample]
+    wrong = np.zeros(plan.n, dtype=bool)
+    wrong[mis] = True
+    predicted = taken ^ wrong[sample]
+    sfp = np.full(sample.shape[0], SFPDecision.NOT_FILTERED)
+    conf = np.full(sample.shape[0], CONF_UNKNOWN)
+    options = plan.options
+    if plan.squash is not None:
+        squashed = plan.squash[sample]
+        if not options.sfp.squash_known_true:
+            predicted[squashed] = False
+        sfp[squashed] = np.where(
+            predicted[squashed] == taken[squashed],
+            SFPDecision.FILTERED_CORRECT, SFPDecision.FILTERED_WRONG,
+        )
+        conf[squashed] = CONF_PERFECT
+    if options.pgu is not None:
+        # Defines visible by a fetch at j: d_idx + delay <= j.
+        d_idx, _, delay = pgu_defines(trace, options)
+        previous = np.where(sample > 0, trace.b_idx[sample - 1], -1)
+        bits = (np.searchsorted(d_idx, fetch - delay, "right")
+                - np.searchsorted(d_idx, previous - delay, "right"))
+        pgu = np.where(bits > 0, PGUPath.INSERT, PGUPath.UPDATE)
+    else:
+        bits = np.zeros(sample.shape[0], dtype=np.int64)
+        pgu = np.full(sample.shape[0], PGUPath.OFF)
+    guard_def = trace.b_guard_def[sample]
+    avail = np.where(guard_def >= 0, fetch - guard_def, AVAIL_NEVER)
+    collect = collector.collect
+    for fields in zip(
+        sample.tolist(), trace.b_pc[sample].tolist(),
+        plan.cls[sample].tolist(), trace.b_region[sample].tolist(),
+        trace.b_guard[sample].tolist(), avail.tolist(), sfp.tolist(),
+        pgu.tolist(), bits.tolist(), predicted.tolist(), taken.tolist(),
+        conf.tolist(),
+    ):
+        collect(PredictionEvent(*fields[:-1], conf=fields[-1]))
 
 
 def jrs_confidence(plan: ReplayPlan, correct: np.ndarray,

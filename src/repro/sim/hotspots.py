@@ -8,11 +8,11 @@ the disassembled site.
 
 Since the profiler landed this is a thin view over
 :class:`~repro.profiler.attribution.AttributionAggregator`: the trace is
-replayed once through the real driver with an unsampled
-:class:`~repro.profiler.collector.AggregatingCollector`, so per-site
-accounting lives in exactly one place and hotspots see the driver's full
-semantics (SFP, PGU — including ``guards_only`` filtering — delayed
-update) instead of a hand-maintained mirror loop.
+replayed once through the real driver, on the ambient simulation core,
+with an unsampled :class:`~repro.profiler.collector.AggregatingCollector`,
+so per-site accounting lives in exactly one place and hotspots see the
+driver's full semantics (SFP, PGU — including ``guards_only`` filtering
+— delayed update) instead of a hand-maintained mirror loop.
 """
 
 from dataclasses import dataclass

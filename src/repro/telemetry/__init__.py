@@ -82,6 +82,7 @@ from repro.telemetry.tracing import (
     record_span,
     set_collector,
     set_tracing,
+    skip_span,
     trace_span,
     tracing_enabled,
     use_collector,
@@ -135,6 +136,7 @@ __all__ = [
     "set_registry",
     "set_sink",
     "set_tracing",
+    "skip_span",
     "span",
     "summarize_events",
     "trace_span",

@@ -333,6 +333,16 @@ def push_span(name: str) -> TraceContext:
     return ctx
 
 
+def skip_span() -> None:
+    """Take the sequence number a child span opened here would take,
+    recording nothing — for an optional span, so that its absence does
+    not renumber (and so re-identify) the siblings after it."""
+    if _TRACING:
+        frames = _frames()
+        if frames:
+            frames[-1][1] += 1
+
+
 def pop_span(ctx: TraceContext, name: str, start: float,
              seconds: float, attrs: Optional[dict] = None) -> dict:
     """Close the span opened by :func:`push_span` and record it."""

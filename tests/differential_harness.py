@@ -1,13 +1,14 @@
-"""Differential-equivalence harness: object core vs fast kernels.
+"""Differential-equivalence harness: the simulation cores vs the oracle.
 
-The fast cores are only trustworthy because they are *checkable*: the
-object-model loop in :mod:`repro.sim.driver` stays the reference, and
-this module replays the same (trace, predictor, options) point through
-both paths and compares per-branch correctness flags bit for bit.  On
-a mismatch the report names the predictor, the core and the **first
-diverging branch index**, which is the piece of information that
-actually localises a kernel bug (aggregate counts only say "something,
-somewhere").
+The cores are only trustworthy because they are *checkable*: the
+branch-by-branch loop in ``tests/driver_oracle.py``, which shares no
+code with the replay plan every core replays, is the reference.  This
+module runs one (trace, predictor, options) point through the oracle
+and through a core and compares per-branch correctness flags bit for
+bit.  On a mismatch the report names the predictor, the core and the
+**first diverging branch index**, which is the piece of information
+that actually localises a kernel bug (aggregate counts only say
+"something, somewhere").
 
 Used by ``tests/test_fastcore_differential.py`` across the whole
 workload suite, and handy interactively when writing a new kernel.
@@ -21,6 +22,7 @@ import numpy as np
 from repro import telemetry
 from repro.sim import fastcore
 from repro.sim.driver import SimOptions, simulate
+from tests.driver_oracle import oracle_simulate
 
 #: The replay each fast core runs once its plan is decoded.
 REPLAYS = {"fast": fastcore.fast_replay, "numpy": fastcore.batch_replay}
@@ -28,23 +30,23 @@ REPLAYS = {"fast": fastcore.fast_replay, "numpy": fastcore.batch_replay}
 
 @dataclass
 class DivergenceReport:
-    """Outcome of one object-vs-fast differential comparison."""
+    """Outcome of one oracle-vs-core differential comparison."""
 
     predictor: str
     workload: str
-    core: str  #: the fast core that was checked ("fast" or "numpy")
+    core: str  #: the core that was checked
     matches: bool
     #: branch index of the first differing correctness flag
     #: (``None`` when the cores agree branch for branch)
     first_divergence: Optional[int]
-    object_metrics: dict
-    fast_metrics: dict
+    oracle_metrics: dict
+    core_metrics: dict
 
     def summary(self) -> str:
         if self.matches:
             return (
-                f"{self.predictor} on {self.workload}: object and "
-                f"{self.core} cores agree on every branch"
+                f"{self.predictor} on {self.workload}: the oracle and "
+                f"the {self.core} core agree on every branch"
             )
         where = (
             f"first divergence at branch {self.first_divergence}"
@@ -53,7 +55,7 @@ class DivergenceReport:
         )
         return (
             f"{self.predictor} on {self.workload}: {self.core} core "
-            f"diverges from object core ({where})"
+            f"diverges from the oracle ({where})"
         )
 
 
@@ -72,10 +74,10 @@ def differential_check(
     core: str = "fast",
     kernel=None,
 ) -> DivergenceReport:
-    """Replay one point on the object core and on ``core``; compare.
+    """Run one point through the oracle and on ``core``; compare.
 
     ``predictor_factory`` is called once per path so each trains fresh
-    state.  The fast path runs through :func:`simulate`, and its
+    state.  The core runs through :func:`simulate`, and its
     ``sim.core.<core>`` counter must show that ``core`` really ran: a
     silent drop to another backend would make the check vacuous.
 
@@ -85,7 +87,7 @@ def differential_check(
     prove the harness actually localises disagreements.
     """
     opts = replace(options, record_flags=True)
-    ref = simulate(trace, predictor_factory(), opts)
+    ref, _ = oracle_simulate(trace, predictor_factory(), opts)
     ref_metrics = ref.headline_metrics()
     if kernel is None:
         with telemetry.use_registry(telemetry.MetricsRegistry()) as reg:
@@ -115,6 +117,6 @@ def differential_check(
         core=core,
         matches=matches,
         first_divergence=first,
-        object_metrics=ref_metrics,
-        fast_metrics=got_metrics,
+        oracle_metrics=ref_metrics,
+        core_metrics=got_metrics,
     )

@@ -9,9 +9,13 @@ Two halves:
   under its stable violation kind;
 * the differential acceptance gate — every bundled workload, both
   compile configs, all three simulation cores, replayed against their
-  own static contracts with zero violations.
+  own static contracts with zero violations, the rate-1 checker seeing
+  every branch on every core; a fail-fast checker stops every core at
+  the first violation the branch-by-branch oracle
+  (``tests/driver_oracle.py``) stops at.
 """
 
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -40,7 +44,8 @@ from repro.analysis.contract import (
 )
 from repro.compiler.config import HYPERBLOCK
 from repro.isa import ProgramBuilder, Relation
-from repro.predictors import make_predictor
+from repro.pipeline.availability import squash_mask
+from repro.predictors import PGUConfig, SFPConfig, make_predictor
 from repro.profiler.events import (
     AVAIL_NEVER,
     PGUPath,
@@ -50,6 +55,7 @@ from repro.profiler.events import (
 from repro.profiler.spec import ProfileSpec
 from repro.sim.driver import SimOptions, simulate
 from repro.workloads import get_workload, workload_names
+from tests.driver_oracle import oracle_simulate
 
 
 def contract_program():
@@ -368,9 +374,35 @@ class TestDifferentialGate:
         assert result.branches > 0
         assert result.workload == name
         assert result.core == core
-        if core == "object":
-            # Rate-1 sampling: the armed checker saw the whole stream.
-            assert result.events_checked > 0
+        # Rate-1 sampling: the armed checker saw the whole stream.
+        assert result.events_checked == result.branches
+
+    @pytest.mark.parametrize("core", ["object", "fast", "numpy"])
+    def test_fail_fast_stops_at_the_oracles_first_violation(self, core):
+        """A fail-fast checker raises at the first violating event, the
+        same one the branch-by-branch oracle stops at."""
+        workload = get_workload("crc")
+        executable = workload.compile("tiny", HYPERBLOCK).executable
+        trace = workload.trace("tiny", hyperblocks=True)
+        contract = StaticContract.for_executable(executable, name="crc")
+        # Claim no site may be filtered: the first squash violates.
+        contract.never_filterable = set(contract.facts)
+        options = SimOptions(sfp=SFPConfig(), pgu=PGUConfig())
+
+        def first_violation(run):
+            checker = ContractChecker(
+                contract, spec=ProfileSpec(rate=1), fail_fast=True
+            )
+            with pytest.raises(ContractError) as excinfo:
+                run(trace, make_predictor("gshare"), options,
+                    collector=checker)
+            return excinfo.value.violations
+
+        ref = first_violation(oracle_simulate)
+        assert [v.kind for v in ref] == [FILTERED_UNFILTERABLE]
+        squashed = np.flatnonzero(squash_mask(trace, options))
+        assert ref[0].seq == int(squashed[0])
+        assert first_violation(partial(simulate, core=core)) == ref
 
     def test_gate_result_raises_when_dirty(self):
         from repro.analysis import GateResult

@@ -1,12 +1,13 @@
-"""Differential equivalence: fast simulation cores vs the object core.
+"""Differential equivalence: every simulation core vs the oracle.
 
-The object-model loop in :mod:`repro.sim.driver` is the reference; the
-flat-kernel (``fast``) and numpy-batched (``numpy``) cores must be
-*bit-identical* to it — same mispredict counts, same per-class stats,
-same headline metrics, branch for branch.  This suite enforces that
-over the whole workload suite under both compile configs, over the
-paper's mechanism space on focused workloads, and over
-hypothesis-generated random traces, and proves the harness can
+The branch-by-branch loop in ``tests/driver_oracle.py`` is the
+reference; the object (``object``), flat-kernel (``fast``) and
+numpy-batched (``numpy``) cores all replay one decoded plan and must
+be *bit-identical* to the oracle — same mispredict counts, same
+per-class stats, same headline metrics, branch for branch.  This suite
+enforces that over the whole workload suite under both compile
+configs, over the paper's mechanism space on focused workloads, and
+over hypothesis-generated random traces, and proves the harness can
 localise a seeded divergence.
 """
 
@@ -36,10 +37,12 @@ from repro.sim import fastcore
 from repro.trace.container import Trace, TraceMeta
 from repro.workloads import get_workload, workload_names
 from tests.differential_harness import REPLAYS, differential_check
+from tests.driver_oracle import oracle_simulate
 
 pytestmark = pytest.mark.fastcore
 
 FAST_CORES = ("fast", "numpy")
+CORES = ("object",) + FAST_CORES
 
 
 def _tage(aging_period=None, **kwargs):
@@ -122,8 +125,8 @@ def test_full_matrix(workload, hyperblocks):
     )
     for oname, options in MATRIX_OPTIONS.items():
         for label, factory in PREDICTORS.items():
-            ref = simulate(trace, factory(), options)
-            for core in FAST_CORES:
+            ref, _ = oracle_simulate(trace, factory(), options)
+            for core in CORES:
                 got = simulate(trace, factory(), options, core=core)
                 _assert_identical(
                     ref, got,
@@ -141,7 +144,7 @@ def test_option_variants(workload, oname):
         batchable = fastcore.batch_supported(
             fastcore.kernel_from_predictor(factory())
         )
-        for core in FAST_CORES:
+        for core in CORES:
             if core == "numpy" and not batchable:
                 # No numpy backend (local histories are serial); the
                 # public knob falls back to the scalar fast loop, which
@@ -191,7 +194,7 @@ def test_composite_trained_state_matches_object_predictor(
     trace = get_workload("lexer").trace(scale="tiny", hyperblocks=True)
     options = {**MATRIX_OPTIONS, **VARIANT_OPTIONS}[oname]
     predictor = PREDICTORS[label]()
-    result = simulate(trace, predictor, options)
+    result, _ = oracle_simulate(trace, predictor, options)
     kernel = fastcore.kernel_from_predictor(PREDICTORS[label]())
     # lexer has ~21k events: many chunk boundaries
     monkeypatch.setattr(replay, "CHUNK_EVENTS", 1000)
@@ -206,7 +209,7 @@ def test_trained_state_matches_object_predictor():
     """Replay leaves the kernel tables exactly as object training does."""
     trace = get_workload("crc").trace(scale="tiny", hyperblocks=True)
     predictor = GSharePredictor(entries=1024, history_bits=10)
-    simulate(trace, predictor, SimOptions())
+    oracle_simulate(trace, predictor, SimOptions())
     for core in FAST_CORES:
         kernel = fastcore.kernel_from_predictor(
             GSharePredictor(entries=1024, history_bits=10)
@@ -352,8 +355,8 @@ def test_random_trace_equivalence(data):
     options = data.draw(st.sampled_from(RANDOM_OPTIONS))
     label = data.draw(st.sampled_from(sorted(PREDICTORS)))
     factory = PREDICTORS[label]
-    ref = simulate(trace, factory(), options)
-    for core in FAST_CORES:
+    ref, _ = oracle_simulate(trace, factory(), options)
+    for core in CORES:
         got = simulate(trace, factory(), options, core=core)
         _assert_identical(ref, got, f"random/{label} on core {core}")
 
@@ -378,7 +381,7 @@ BTB_OPTIONS = {
 )
 @pytest.mark.parametrize("workload", ["crc", "grep", "parser"])
 def test_btb_post_pass(workload, geometry):
-    """Misfetch counts and per-branch flags match the driver's BTB.
+    """Misfetch counts and per-branch flags match the oracle's BTB.
 
     grep and parser take returns (``target == -1``), whose lookups
     touch the BTB with no insert after them."""
@@ -386,14 +389,11 @@ def test_btb_post_pass(workload, geometry):
     btb = BTBConfig(sets=geometry[0], ways=geometry[1])
     for oname, base in BTB_OPTIONS.items():
         options = replace(base, btb=btb)
-        for core in FAST_CORES:
+        for core in CORES:
             report = differential_check(
                 trace, PREDICTORS["gshare"], options, core=core
             )
             assert report.matches, f"{oname}: {report.summary()}"
-        ref = simulate(trace, PREDICTORS["gshare"](), options)
-        got = simulate(trace, PREDICTORS["gshare"](), options, core="fast")
-        assert got.misfetches == ref.misfetches, oname
 
 
 def test_btb_traces_take_returns():
@@ -425,8 +425,8 @@ def test_btb_state_follows_the_predictions():
     options = SimOptions(
         btb=BTBConfig(sets=1, ways=2), record_flags=True
     )
-    ref = simulate(trace, BimodalPredictor(entries=4), options)
-    for core in FAST_CORES:
+    ref, _ = oracle_simulate(trace, BimodalPredictor(entries=4), options)
+    for core in CORES:
         got = simulate(trace, BimodalPredictor(entries=4), options,
                        core=core)
         assert got.misfetches == ref.misfetches, core
@@ -453,7 +453,7 @@ def test_random_trace_btb_equivalence(data):
             ways=data.draw(st.integers(min_value=1, max_value=3)),
         ),
     )
-    for core in FAST_CORES:
+    for core in CORES:
         report = differential_check(
             trace, PREDICTORS["gshare"], options, core=core
         )
@@ -467,8 +467,8 @@ def test_empty_trace_all_cores():
         d_pc=[], d_idx=[], d_value=[], d_pred=[],
         meta=TraceMeta(workload="empty", instructions=0),
     )
-    ref = simulate(trace, PREDICTORS["gshare"](), SimOptions())
-    for core in FAST_CORES:
+    ref, _ = oracle_simulate(trace, PREDICTORS["gshare"](), SimOptions())
+    for core in CORES:
         got = simulate(
             trace, PREDICTORS["gshare"](), SimOptions(), core=core
         )
@@ -499,7 +499,7 @@ def test_unsupported_predictor_falls_back_to_object():
 def test_use_core_context_and_flags():
     trace = get_workload("crc").trace(scale="tiny", hyperblocks=True)
     opts = SimOptions(record_flags=True)
-    ref = simulate(trace, PREDICTORS["gshare"](), opts)
+    ref, _ = oracle_simulate(trace, PREDICTORS["gshare"](), opts)
     with use_core("fast"):
         got = simulate(trace, PREDICTORS["gshare"](), opts)
     assert np.array_equal(got.flags.correct, ref.flags.correct)

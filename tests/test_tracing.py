@@ -11,10 +11,13 @@ The contracts under test:
   function of the work, not of the scheduling;
 * the sweep engine — 1-worker and 4-worker runs of the same grid under
   the same root context produce identical span identities (the
-  cross-process determinism claim), with every worker span parented
-  inside the trace;
+  cross-process determinism claim) on the object and fast cores, plan
+  decodes aside, with every worker span parented inside the trace;
 * pickling — contexts and collectors cross the
   ``ProcessPoolExecutor`` boundary losslessly;
+* simulation spans — on a kernel core, a plan decode (a plan-cache
+  miss) and the replay are sibling spans under ``sim.driver``, and
+  tracing never changes the registry's counters;
 * rendering — ``repro trace show`` output carries the tree, the
   critical path and per-span self time.
 """
@@ -25,7 +28,7 @@ import random
 import pytest
 
 from repro.predictors import make_predictor
-from repro.sim import SimOptions, sweep
+from repro.sim import SimOptions, simulate, sweep
 from repro.telemetry import (
     MetricsRegistry,
     QuantileSketch,
@@ -275,8 +278,14 @@ class TestSpanCollector:
 # Sweep propagation: scheduling-invariant span sets
 
 
+def _without_decodes(records):
+    """Span records minus ``fastcore.decode``, whose presence depends on
+    which plans the process that ran a point had cached."""
+    return [r for r in records if r["name"] != "fastcore.decode"]
+
+
 class TestSweepTracing:
-    def _run(self, workers):
+    def _run(self, workers, core="object"):
         traces = {
             name: get_workload(name).trace(scale="tiny")
             for name in ("crc", "qsort")
@@ -294,12 +303,17 @@ class TestSweepTracing:
         registry = MetricsRegistry()
         with use_registry(registry), use_tracing(True), \
                 use_collector(collector), use_context(root):
-            results = sweep(traces, factories, grid, workers=workers)
+            results = sweep(traces, factories, grid, workers=workers,
+                            core=core)
         return results, collector, registry
 
     def test_worker_count_does_not_change_span_identity(self):
-        results_1, spans_1, registry_1 = self._run(workers=1)
-        results_4, spans_4, registry_4 = self._run(workers=4)
+        for core in ("object", "fast"):
+            self._check_worker_count_identity(core)
+
+    def _check_worker_count_identity(self, core):
+        results_1, spans_1, registry_1 = self._run(workers=1, core=core)
+        results_4, spans_4, registry_4 = self._run(workers=4, core=core)
         assert [r.mispredictions for r in results_1] == \
             [r.mispredictions for r in results_4]
         # Different roots -> different raw ids, but the *shape* —
@@ -324,12 +338,15 @@ class TestSweepTracing:
                         if k != "workers"  # legitimately differs
                     )),
                 )
-                for r in collector.records
+                for r in _without_decodes(collector.records)
             )
 
         assert shape(spans_1) == shape(spans_4)
-        # 1 sweep + 4 points + 4 driver spans, all in one trace.
-        assert len(spans_1) == 9
+        # 1 sweep + 4 points + 4 driver spans (+ 4 replay spans on a
+        # kernel core), all in one trace.
+        assert len(_without_decodes(spans_1.records)) == (
+            9 if core == "object" else 13
+        )
         assert len(spans_1.traces()) == 1
         hist_1 = registry_1.snapshot()["histograms"]
         hist_4 = registry_4.snapshot()["histograms"]
@@ -339,6 +356,10 @@ class TestSweepTracing:
         assert "sweep.point_seconds" in hist_1
 
     def test_same_root_same_workers_identical_identity(self):
+        for core in ("object", "fast"):
+            self._check_same_root_identity(core)
+
+    def _check_same_root_identity(self, core):
         trace_id = new_trace_id()
         root = TraceContext(
             trace_id=trace_id,
@@ -348,17 +369,37 @@ class TestSweepTracing:
         factories = {
             "gshare": lambda: make_predictor("gshare", entries=256)
         }
+        # Both points replay one plan: run serially, the second finds
+        # it cached; run on two workers, it may decode it again.
+        grid = [SimOptions(), SimOptions(distance=8)]
         identities = []
         for workers in (1, 2):
             collector = SpanCollector()
             with use_registry(MetricsRegistry()), use_tracing(True), \
                     use_collector(collector), use_context(root):
-                sweep(traces, factories, [SimOptions()],
-                      workers=workers)
-            identities.append(collector.identity())
+                sweep(traces, factories, grid, workers=workers, core=core)
+            ids = {r["span_id"]: r for r in collector.records}
+            for r in collector.records:
+                # A decode is always its driver's child 0, the replay
+                # child 1, whether or not that point decoded.
+                seq = {"fastcore.decode": 0, "fastcore.replay": 1}.get(
+                    r["name"]
+                )
+                if seq is not None:
+                    driver = ids[r["parent_id"]]
+                    assert driver["name"] == "sim.driver"
+                    assert r["span_id"] == derive_span_id(
+                        trace_id, driver["span_id"], r["name"], seq
+                    )
+            kept = SpanCollector()
+            for r in _without_decodes(collector.records):
+                kept.add(r)
+            identities.append(kept.identity())
         # Same root context, same grid: bit-identical span identity
         # regardless of how many processes executed the points.
         assert identities[0] == identities[1]
+        replays = [i for i in identities[0] if i[3] == "fastcore.replay"]
+        assert len(replays) == (0 if core == "object" else 2)
 
     def test_worker_spans_report_worker_pids(self):
         import os
@@ -368,6 +409,63 @@ class TestSweepTracing:
         assert points and all(
             r["pid"] != os.getpid() for r in points
         )
+
+
+# ---------------------------------------------------------------------------
+# Simulation spans
+
+
+class TestSimulateSpans:
+    @staticmethod
+    def _fresh_trace():
+        # An unpickled copy is a new object, so its plan is not cached.
+        return pickle.loads(pickle.dumps(
+            get_workload("crc").trace(scale="tiny")
+        ))
+
+    @staticmethod
+    def _simulate(trace, core, tracing=True):
+        """(parent name, span name) pairs and the counters of one run."""
+        spans = SpanCollector()
+        registry = MetricsRegistry()
+        with use_registry(registry), use_tracing(tracing), \
+                use_collector(spans):
+            simulate(trace, make_predictor("gshare", entries=256),
+                     SimOptions(), core=core)
+        names = {r["span_id"]: r["name"] for r in spans.records}
+        tree = sorted(
+            (names.get(r["parent_id"], ""), r["name"])
+            for r in spans.records
+        )
+        return tree, registry.snapshot()["counters"]
+
+    @pytest.mark.parametrize("core", ["fast", "numpy"])
+    def test_decode_and_replay_hang_off_the_driver(self, core):
+        trace = self._fresh_trace()
+        tree, _ = self._simulate(trace, core)
+        assert tree == [
+            ("", "sim.driver"),
+            ("sim.driver", "fastcore.decode"),
+            ("sim.driver", "fastcore.replay"),
+        ]
+        # The plan is cached now: a repeat run decodes nothing.
+        tree, _ = self._simulate(trace, core)
+        assert tree == [
+            ("", "sim.driver"), ("sim.driver", "fastcore.replay"),
+        ]
+
+    def test_object_core_records_the_driver_span_only(self):
+        tree, _ = self._simulate(self._fresh_trace(), "object")
+        assert tree == [("", "sim.driver")]
+
+    @pytest.mark.parametrize("core", ["object", "fast", "numpy"])
+    def test_tracing_leaves_counters_unchanged(self, core):
+        _, traced = self._simulate(self._fresh_trace(), core)
+        _, untraced = self._simulate(
+            self._fresh_trace(), core, tracing=False
+        )
+        assert traced == untraced
+        assert traced[f"sim.core.{core}"] == 1
 
 
 # ---------------------------------------------------------------------------

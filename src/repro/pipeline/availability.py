@@ -89,6 +89,14 @@ def squash_mask(trace: Trace, options) -> Optional[np.ndarray]:
     return trace.guard_known_false(options.distance)
 
 
+def pgu_delay(options) -> int:
+    """Instructions between a define and the first fetch that sees it
+    under ``options``' PGU: its own ``delay``, or the availability
+    distance when it has none."""
+    delay = options.pgu.delay
+    return options.distance if delay is None else delay
+
+
 def pgu_defines(
     trace: Trace, options
 ) -> Tuple[np.ndarray, np.ndarray, int]:
@@ -104,7 +112,7 @@ def pgu_defines(
     pgu = options.pgu
     if pgu is None:
         return trace.d_idx[:0], trace.d_value[:0], 0
-    delay = options.distance if pgu.delay is None else pgu.delay
+    delay = pgu_delay(options)
     d_idx = trace.d_idx
     d_value = trace.d_value
     if pgu.which == "guards_only":

@@ -14,17 +14,14 @@ against the branch-by-branch oracle ``tests/driver_oracle.py``; see
 ``docs/fast-core.md`` for the kernel ABI and the plan layout.
 """
 
-import threading
 import time
-import weakref
-from collections import OrderedDict
 from dataclasses import replace
 from typing import Optional
 
 from repro import telemetry
 from repro.sim.driver import SimOptions
 from repro.sim.fastcore.batch import batch_replay, batch_supported
-from repro.sim.fastcore.decode import ReplayPlan, build_plan
+from repro.sim.fastcore.decode import ReplayPlan, TraceLRU, build_plan
 from repro.sim.fastcore.kernels import (
     KERNEL_BUILDERS,
     KernelError,
@@ -59,11 +56,10 @@ __all__ = [
 ]
 
 
-#: Replay plans kept process-wide, least recently used out first:
-#: (id of the trace, options repr) -> (weak reference to the trace, plan).
+#: Replay plans kept process-wide, least recently used out first, keyed
+#: by the trace object and the options repr.
 _PLAN_CACHE_LIMIT = 8
-_PLANS: "OrderedDict[tuple, tuple]" = OrderedDict()
-_PLANS_LOCK = threading.Lock()
+_PLANS = TraceLRU()
 
 
 def _reads_distance(options: SimOptions) -> bool:
@@ -75,8 +71,8 @@ def _reads_distance(options: SimOptions) -> bool:
     )
 
 
-def _plan_key(trace, options: SimOptions):
-    """``(cache key, options the decode reads)`` for ``(trace, options)``."""
+def _plan_key(options: SimOptions):
+    """``(cache key, options the decode reads)`` for ``options``."""
     unused = {}
     if options.btb is not None:
         unused["btb"] = None
@@ -86,18 +82,12 @@ def _plan_key(trace, options: SimOptions):
         unused["distance"] = 0
     if unused:
         options = replace(options, **unused)
-    return (id(trace), repr(options)), options
+    return repr(options), options
 
 
 def cached_plan(trace, options: SimOptions) -> Optional[ReplayPlan]:
     """The cached replay plan for ``(trace, options)``, or ``None``."""
-    key, _ = _plan_key(trace, options)
-    with _PLANS_LOCK:
-        entry = _PLANS.get(key)
-        if entry is None or entry[0]() is not trace:
-            return None
-        _PLANS.move_to_end(key)
-        return entry[1]
+    return _PLANS.get(trace, _plan_key(options)[0])
 
 
 def plan_for(trace, options: SimOptions) -> ReplayPlan:
@@ -111,21 +101,21 @@ def plan_for(trace, options: SimOptions) -> ReplayPlan:
     delay and to delayed update — so BTB sweeps, and the distance
     points of a plain predictor, share one plan per trace.  The cache
     is one LRU of :data:`_PLAN_CACHE_LIMIT` plans for the whole
-    process.  It is keyed by the trace object's identity, checked
-    through a weak reference, so it never pins more than that many plans
-    however many traces stay alive, and a later object that reuses a
-    dead trace's id misses.
+    process (a :class:`~repro.sim.fastcore.decode.TraceLRU`).  It is
+    keyed by the trace object's identity, checked through a weak
+    reference, so it never pins more than that many plans however many
+    traces stay alive, a later object that reuses a dead trace's id
+    misses, and a trace's plans leave the cache when the trace is
+    collected.  Plans of different options that read the same history
+    stream share one read-only ``ghr`` array
+    (:func:`~repro.sim.fastcore.decode.history_values`).
     """
     plan = cached_plan(trace, options)
     if plan is not None:
         return plan
-    key, options = _plan_key(trace, options)
+    key, options = _plan_key(options)
     plan = build_plan(trace, options)
-    with _PLANS_LOCK:
-        _PLANS[key] = (weakref.ref(trace), plan)
-        _PLANS.move_to_end(key)
-        while len(_PLANS) > _PLAN_CACHE_LIMIT:
-            _PLANS.popitem(last=False)
+    _PLANS.put(trace, key, plan, _PLAN_CACHE_LIMIT)
     return plan
 
 

@@ -21,21 +21,39 @@ predicate defines enter history are the front end's rules
 (:func:`~repro.pipeline.availability.squash_mask`,
 :func:`~repro.pipeline.availability.pgu_defines`); this module only
 applies them.
+
+Plans of different options often read the same history stream: E8's
+PGU points at one distance share it with every variant whose SFP still
+shifts history, and every unused distance reads the plain stream.  So
+:func:`history_values` memoizes the per-branch history values per trace
+object, keyed by what the stream reads (:func:`_stream_key`), in one
+process-wide LRU of :data:`HISTORY_MEMO_BYTES` whose entries leave
+with their trace (:class:`TraceLRU`); every plan that reads a stream
+holds the one read-only array as its ``ghr``.
 """
 
+import mmap
+import threading
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional
+from typing import Hashable, Optional
 
 import numpy as np
 
-from repro.pipeline.availability import pgu_defines, squash_mask
+from repro.pipeline.availability import pgu_defines, pgu_delay, squash_mask
 from repro.sim.driver import SimOptions
 from repro.trace.container import Trace
 
 
 @dataclass
 class ReplayPlan:
-    """Everything replay needs, decoded once per (trace, options)."""
+    """Everything replay needs, decoded once per (trace, options).
+
+    Consumers only read the arrays: ``ghr``, ``taken``, ``cls`` and a
+    uniform plan's event arrays are read-only and shared with other
+    plans (``taken`` is a view of the trace's outcomes).
+    """
 
     options: SimOptions
     workload: str
@@ -61,6 +79,178 @@ class ReplayPlan:
         return values[self.ev_branch]
 
 
+class TraceLRU:
+    """A thread-safe LRU of values derived from trace objects.
+
+    Entries are keyed by the trace object's identity plus a caller's
+    key.  A weak reference to the trace confirms the identity, so a
+    later object that reuses a dead trace's ``id`` misses, and its
+    callback drops the trace's entries as soon as the trace is
+    collected.  The summed ``weigh(value)`` of the entries stays within
+    the ``limit`` given to :meth:`put`; the least recently used go
+    first.
+    """
+
+    def __init__(self, weigh=lambda value: 1):
+        self._weigh = weigh
+        #: total weight of the entries
+        self.size = 0
+        #: (id of the trace, key) -> (weak reference, value, weight),
+        #: least recently used first
+        self._entries: "OrderedDict[tuple, tuple]" = OrderedDict()
+        #: id of a live trace -> its weak reference (with the callback)
+        self._refs: dict = {}
+        #: references whose trace died while the lock was held
+        self._dead: list = []
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, trace, key: Hashable):
+        """The value stored for ``(trace, key)``, or ``None``."""
+        with self._lock:
+            self._purge()
+            entry = self._entries.get((id(trace), key))
+            if entry is None or entry[0]() is not trace:
+                return None
+            self._entries.move_to_end((id(trace), key))
+            return entry[1]
+
+    def put(self, trace, key: Hashable, value, limit: int) -> None:
+        """Store ``value`` for ``(trace, key)``, then evict down to
+        ``limit``; a value heavier than ``limit`` is not kept."""
+        weight = self._weigh(value)
+        with self._lock:
+            self._purge()
+            ref = self._refs.get(id(trace))
+            if ref is None or ref() is not trace:
+                ref = weakref.ref(trace, self._collected)
+                self._refs[id(trace)] = ref
+            old = self._entries.pop((id(trace), key), None)
+            if old is not None:
+                self.size -= old[2]
+            if weight <= limit:
+                self._entries[id(trace), key] = (ref, value, weight)
+                self.size += weight
+            while self.size > limit:
+                self.size -= self._entries.popitem(last=False)[1][2]
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self._refs.clear()
+            self._dead.clear()
+            self.size = 0
+
+    def _collected(self, ref) -> None:
+        # A trace died.  The callback may run inside a locked section
+        # (a collection triggered there); then the next call purges.
+        self._dead.append(ref)
+        if self._lock.acquire(blocking=False):
+            try:
+                self._purge()
+            finally:
+                self._lock.release()
+
+    def _purge(self) -> None:
+        """Drop the entries of every collected trace (lock held)."""
+        while self._dead:
+            ref = self._dead.pop()
+            for key in [k for k, entry in self._entries.items()
+                        if entry[0] is ref]:
+                self.size -= self._entries.pop(key)[2]
+            for ident in [i for i, r in self._refs.items() if r is ref]:
+                del self._refs[ident]
+
+
+#: Byte budget of the history memo.  One tiny run-all reads about
+#: 20 MB of distinct streams, but E8 and E10 reuse theirs within a few
+#: points of the same trace, so a budget this small keeps most hits
+#: (476 streams computed for 1091 decodes) without raising peak RSS.
+HISTORY_MEMO_BYTES = 4 << 20
+
+#: Per-branch history values, keyed by :func:`_stream_key`.
+_HISTORY = TraceLRU(weigh=lambda values: values.nbytes)
+
+
+def _stream_key(options: SimOptions) -> tuple:
+    """``(emits, defines, width)``: what the history stream reads.
+
+    ``emits`` is ``None`` when every branch shifts its outcome in, or
+    the squash mask's inputs ``(distance, squash_known_true)`` when
+    squashed branches skip history; ``defines`` is ``None`` without
+    PGU, or ``(effective delay, which)``.
+    """
+    sfp = options.sfp
+    emits = None
+    if sfp is not None and not sfp.update_history:
+        emits = (options.distance, sfp.squash_known_true)
+    defines = None
+    if options.pgu is not None:
+        defines = (pgu_delay(options), options.pgu.which)
+    return emits, defines, min(options.history_bits, 64)
+
+
+def history_values(trace: Trace, options: SimOptions,
+                   squash: Optional[np.ndarray]) -> np.ndarray:
+    """Per-branch predict-time history (read-only ``uint64``), shared
+    by every plan of ``trace`` that reads the same stream."""
+    key = _stream_key(options)
+    values = _HISTORY.get(trace, key)
+    if values is None:
+        values = _mapped_uint64(_history_values(trace, options, squash))
+        _HISTORY.put(trace, key, values, HISTORY_MEMO_BYTES)
+    return values
+
+
+#: A memo entry's mapping: private, anonymous and, where the system
+#: offers it, populated up front rather than one page fault at a time.
+_MAP_FLAGS = (
+    mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
+)
+
+
+def _mapped_uint64(values: np.ndarray) -> np.ndarray:
+    """``values`` as a read-only ``uint64`` array in an anonymous
+    mapping of its own.
+
+    Memo entries outlive the decode's temporaries; allocated from the
+    heap they would pin it between freed blocks.  A mapping of its own
+    leaves the heap alone and returns its pages to the system once the
+    entry is evicted and no plan holds it (with heap-allocated entries a
+    4 MB budget raised ``runall-warm``'s peak RSS by about 5%).
+    """
+    if values.shape[0] == 0:
+        out = np.zeros(0, dtype=np.uint64)
+    else:
+        mapping = mmap.mmap(-1, values.shape[0] * 8, flags=_MAP_FLAGS)
+        out = np.frombuffer(mapping, dtype=np.uint64)
+        out[:] = values
+    out.flags.writeable = False
+    return out
+
+
+#: ``(arange(n), ones(n))`` for the largest ``n`` decoded so far,
+#: read-only: every uniform plan's event arrays are prefixes of these.
+_UNIFORM = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8))
+
+
+def _uniform_events(n: int):
+    """``(ev_branch, ev_read, ev_trans)`` of a uniform plan of ``n``
+    branches: one read+transition event per branch, as read-only views
+    that every uniform plan in the process shares."""
+    global _UNIFORM
+    branch, ones = _UNIFORM
+    if branch.shape[0] < n:
+        branch = np.arange(n, dtype=np.int64)
+        ones = np.ones(n, dtype=np.uint8)
+        branch.flags.writeable = False
+        ones.flags.writeable = False
+        _UNIFORM = (branch, ones)
+    return branch[:n], ones[:n], ones[:n]
+
+
 def _history_values(trace: Trace, options: SimOptions,
                     squash: Optional[np.ndarray]) -> np.ndarray:
     """Per-branch predict-time history, via one bit stream.
@@ -70,43 +260,41 @@ def _history_values(trace: Trace, options: SimOptions,
     ``sfp.update_history``), in the order the history register receives
     them.  Each branch's value is then the ``history_bits``-wide window of the
     stream before its read position — the register's LSB is the most
-    recent bit (:func:`bit_windows`).
+    recent bit (:func:`bit_windows`), in the narrowest unsigned dtype
+    that holds it.
     """
     n = trace.num_branches
-    length = options.history_bits
     if n == 0:
         return np.zeros(0, dtype=np.uint64)
 
-    if squash is None or options.sfp.update_history:
-        emits = np.ones(n, dtype=bool)
-    else:
-        emits = ~squash
-    # emits_excl[i] = number of emitting branches with index < i.
-    emits_excl = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(emits, out=emits_excl[1:])
-
     d_idx, d_bits, delay = pgu_defines(trace, options)
-    # First branch whose fetch sees the define: d_idx + delay <= b_idx.
-    visible_at = np.searchsorted(trace.b_idx, d_idx + delay, side="left")
-    in_range = visible_at < n
-    visible_at = visible_at[in_range]
-    d_bits = d_bits[in_range]
-    # defs_le[i] = defines shifted in by the time branch i predicts
-    # (everything visible at or before i precedes i's own read).
-    defs_le = np.cumsum(np.bincount(visible_at, minlength=n))
-
-    m = int(visible_at.shape[0]) + int(emits_excl[n])
-    bits = np.zeros(m, dtype=np.uint8)
-    # Define k sits after the k-1 earlier defines and every emitting
-    # branch fetched before its visibility point.
-    def_slots = np.arange(visible_at.shape[0]) + emits_excl[visible_at]
-    bits[def_slots] = d_bits
-    emit_idx = np.flatnonzero(emits)
-    bits[defs_le[emit_idx] + emits_excl[emit_idx]] = trace.b_taken[emit_idx]
-
-    return bit_windows(
-        bits, defs_le + emits_excl[:n], min(length, 64)
-    ).astype(np.uint64)
+    # defs_le[i] = defines shifted in by the time branch i predicts: those
+    # visible at its fetch, d_idx + delay <= b_idx (a define visible at a
+    # branch precedes that branch's own read).
+    defs_le = np.searchsorted(d_idx + delay, trace.b_idx, side="right")
+    # read_pos[i] = stream bits before branch i's read: those defines and
+    # the outcomes of the emitting branches before i.
+    if squash is None or options.sfp.update_history:
+        read_pos = defs_le + np.arange(n)
+        emit_pos = read_pos
+        emitted = trace.b_taken
+    else:
+        emits_excl = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(~squash, out=emits_excl[1:])
+        read_pos = defs_le + emits_excl[:n]
+        emit_idx = np.flatnonzero(~squash)
+        emit_pos = read_pos[emit_idx]
+        emitted = trace.b_taken[emit_idx]
+    # The stream holds every define visible by the last branch, in
+    # order, in the slots the emitting branches leave free.
+    defines = int(defs_le[-1])
+    bits = np.zeros(defines + emit_pos.shape[0], dtype=np.uint8)
+    bits[emit_pos] = emitted
+    if defines:
+        define_slot = np.ones(bits.shape[0], dtype=bool)
+        define_slot[emit_pos] = False
+        bits[define_slot] = d_bits[:defines]
+    return bit_windows(bits, read_pos, min(options.history_bits, 64))
 
 
 def bit_windows(bits: np.ndarray, read_pos: np.ndarray,
@@ -141,8 +329,10 @@ def build_plan(trace: Trace, options: SimOptions) -> ReplayPlan:
     """Decode one (trace, options) pair into a :class:`ReplayPlan`."""
     n = trace.num_branches
     squash = squash_mask(trace, options)
-    ghr = _history_values(trace, options, squash)
-    taken = trace.b_taken.astype(np.uint8)
+    ghr = history_values(trace, options, squash)
+    # A read-only uint8 view of the outcomes, not a copy.
+    taken = trace.b_taken.astype(bool, copy=False).view(np.uint8)
+    taken.flags.writeable = False
     pc = trace.b_pc.astype(np.int64, copy=False)  # no copy when int64
 
     sfp = options.sfp
@@ -158,15 +348,16 @@ def build_plan(trace: Trace, options: SimOptions) -> ReplayPlan:
         # squashed branch appears as a transition-only event when the
         # filter still trains the PHT.
         if squash is None or (not train_squashed and not squash.any()):
-            ev_branch = np.arange(n, dtype=np.int64)
-            ev_read = np.ones(n, dtype=np.uint8)
-            ev_trans = np.ones(n, dtype=np.uint8)
+            ev_branch, ev_read, ev_trans = _uniform_events(n)
             uniform = True
         else:
             keep = participates | (squash if train_squashed else False)
             ev_branch = np.flatnonzero(keep).astype(np.int64)
-            ev_read = participates[ev_branch].astype(np.uint8)
-            ev_trans = np.ones(ev_branch.shape[0], dtype=np.uint8)
+            ev_trans = _uniform_events(ev_branch.shape[0])[2]
+            if train_squashed:
+                ev_read = participates[ev_branch].astype(np.uint8)
+            else:
+                ev_read = ev_trans
             uniform = bool(ev_read.all())
     else:
         # Delayed updates: reads stay at their branch; each enqueued

@@ -4,15 +4,18 @@ Run with::
 
     pytest benchmarks/test_bench_serve.py --benchmark-only -s
 
-Two acceptance gates, one live daemon (inline executor, private store):
+Acceptance gates on live daemons (inline executor, private stores):
 
 * ``bench_serve_memoization_gate`` — a warm cache hit (the run-history
   store lookup path) must answer at least 20x faster than the cold
   simulate that populated it;
 * the same gate measures sustained memoized throughput over concurrent
-  keep-alive connections, which must clear 200 req/s.
+  keep-alive connections, which must clear 200 req/s;
+* ``bench_serve_store_size_gate`` — a warm hit costs the same however
+  many records the store holds: its p50 with 2,000 other records on
+  disk is at most 2x the p50 on an otherwise empty store.
 
-Both numbers ride out through :func:`emit_gate`, so
+All numbers ride out through :func:`emit_gate`, so
 ``$REPRO_BENCH_JSON`` (committed as ``BENCH_serve.json``) and the
 run-history store track the daemon's service-latency trend.
 """
@@ -20,8 +23,10 @@ run-history store track the daemon's service-latency trend.
 import asyncio
 import tempfile
 import time
+from contextlib import ExitStack
 
 from benchmarks.conftest import emit_gate, run_once
+from repro.runstore import RunRecord, RunStore, utc_timestamp
 from repro.serve import (
     AsyncServeClient,
     ServeClient,
@@ -45,6 +50,13 @@ CONCURRENCY = 16
 #: the floors leave generous room for noisy CI machines.
 SPEEDUP_FLOOR = 20.0
 RPS_FLOOR = 200.0
+
+#: Store-size gate: records under other request keys already on disk,
+#: and the ceiling on (full-store hit p50) / (empty-store hit p50).
+#: A hit that lists the store on every request (the daemon before its
+#: record-path index) read 16x on a 2-vCPU host, ~40x on others.
+STORE_RECORDS = 2000
+STORE_SIZE_RATIO_CEILING = 2.0
 
 REQUEST = {"workload": "crc", "scale": SCALE}
 
@@ -137,4 +149,69 @@ def bench_serve_memoization_gate(benchmark):
     assert measured["memoized_rps"] >= RPS_FLOOR, (
         f"memoized throughput {measured['memoized_rps']:.0f} req/s is "
         f"below the {RPS_FLOOR:.0f} req/s floor"
+    )
+
+
+def _fill_store(root: str, count: int) -> None:
+    """``count`` sealed records under request keys nobody asks for."""
+    store = RunStore(root)
+    for i in range(count):
+        record = RunRecord(
+            kind="simulate", label=f"filler{i:04d}", scale=SCALE,
+            metrics={"filler.value": float(i)},
+        )
+        record.timestamp = utc_timestamp(1000.0 + i)
+        record.git = {"sha": "f" * 40, "dirty": False}
+        store.add(record.seal())
+
+
+def bench_serve_store_size_gate(benchmark):
+    """Warm-hit p50 with 2,000 stored records <= 2x an empty store's."""
+    measured = {}
+
+    def run():
+        sketches = {"empty": QuantileSketch(), "full": QuantileSketch()}
+        with ExitStack() as stack:
+            clients = {}
+            for name in sketches:
+                root = stack.enter_context(tempfile.TemporaryDirectory())
+                if name == "full":
+                    _fill_store(root, STORE_RECORDS)
+                handle = stack.enter_context(ServerThread(
+                    ServeConfig(port=0, workers=0, store=root)
+                ))
+                client = stack.enter_context(
+                    ServeClient(port=handle.port, timeout=600.0)
+                )
+                status, cold = client.simulate(**REQUEST)
+                assert status == 200 and cold["cached"] is False
+                clients[name] = client
+            # Alternate the two daemons so host drift hits both.
+            for _ in range(WARM_SAMPLES):
+                for name, client in clients.items():
+                    started = time.perf_counter()
+                    status, hit = client.simulate(**REQUEST)
+                    sketches[name].observe(time.perf_counter() - started)
+                    assert status == 200 and hit["cached"] is True
+        for name, sketch in sketches.items():
+            measured[name] = sketch.percentiles()["p50"]
+
+    run_once(benchmark, run)
+    ratio = measured["full"] / measured["empty"]
+    emit_gate(
+        "serve_store_size",
+        empty_store_warm_p50_seconds=measured["empty"],
+        full_store_warm_p50_seconds=measured["full"],
+        stored_records=STORE_RECORDS,
+        ratio=ratio,
+    )
+    print(
+        f"\nwarm hit p50: empty store {measured['empty'] * 1000:.2f}ms, "
+        f"{STORE_RECORDS} records {measured['full'] * 1000:.2f}ms, "
+        f"ratio {ratio:.2f}x"
+    )
+    assert ratio <= STORE_SIZE_RATIO_CEILING, (
+        f"warm hit with {STORE_RECORDS} stored records is {ratio:.1f}x "
+        f"the empty-store hit; the ceiling is "
+        f"{STORE_SIZE_RATIO_CEILING:.0f}x"
     )

@@ -46,7 +46,15 @@ def resolve_root(root=None) -> Path:
 
 
 class RunStore:
-    """Append-only, content-addressed collection of RunRecords."""
+    """Append-only, content-addressed collection of RunRecords.
+
+    Run-id lookups (:meth:`paths_for`, :meth:`contains`, :meth:`find`,
+    and the ``skip``/``replace`` collision check in :meth:`add`) read
+    file names only: a record's run id is the suffix of its name, so
+    nothing is parsed or loaded until a match is found.  A caller that
+    looks up the same runs repeatedly (the ``repro serve`` daemon) keeps
+    its own index of record paths and reads the store only on a miss.
+    """
 
     def __init__(self, root=None):
         self.root = resolve_root(root)
@@ -141,16 +149,33 @@ class RunStore:
         )
 
     def paths_for(self, run_id: str) -> List[Path]:
-        """Record files holding ``run_id`` exactly, oldest first."""
-        suffix = f"-{run_id}"
-        return [p for p in self.paths() if p.stem.endswith(suffix)]
+        """Record files holding ``run_id`` exactly, oldest first.
+
+        Matches on file names alone, in one directory scan, and builds a
+        :class:`Path` only for the matches — the cost of a lookup is one
+        listing, not one ``Path`` per stored record.  Dot-files (the
+        ``.tmp-*`` publish temporaries, the ``.lock-*`` per-run-id
+        locks) never match; a missing root holds nothing.
+        """
+        suffix = f"-{run_id}.json"
+        try:
+            with os.scandir(self.root) as entries:
+                names = [
+                    entry.name for entry in entries
+                    if entry.name.endswith(suffix)
+                    and not entry.name.startswith(".")
+                ]
+        except (FileNotFoundError, NotADirectoryError):
+            return []
+        return [self.root / name for name in sorted(names)]
 
     def contains(self, run_id: str) -> bool:
         """Whether any stored record has exactly this run id."""
         return bool(self.paths_for(run_id))
 
     def find(self, run_id: str) -> Optional[RunRecord]:
-        """The newest stored record with exactly this run id, if any."""
+        """The newest stored record with exactly this run id, if any
+        (one name-only directory scan plus one file read)."""
         paths = self.paths_for(run_id)
         return load_record(paths[-1]) if paths else None
 

@@ -35,7 +35,11 @@ from typing import Dict, Optional
 from repro.profiler.collector import AggregatingCollector
 from repro.profiler.spec import ProfileSpec
 from repro.runstore.record import metrics_from_sim_result
-from repro.serve.protocol import build_options, build_predictor
+from repro.serve.protocol import (
+    build_options,
+    build_predictor,
+    predictor_description,
+)
 from repro.sim.core import CORE_ENV
 from repro.sim.driver import simulate
 from repro.sim.sweep import ParallelSweepRunner
@@ -71,10 +75,9 @@ def _exec_sweep(spec: dict, core: str) -> Dict[str, float]:
     }
     factories = {}
     for predictor in spec["predictors"]:
-        label = build_predictor(
-            {"predictor": predictor["name"],
-             "entries": predictor["entries"]}
-        ).describe()
+        label = predictor_description(
+            predictor["name"], predictor["entries"]
+        )
         factories[label] = (
             lambda p=predictor: build_predictor(
                 {"predictor": p["name"], "entries": p["entries"]}

@@ -23,6 +23,7 @@ onto structured 4xx JSON bodies.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional
 
 from repro.predictors import (
@@ -264,8 +265,26 @@ def build_options(spec: dict) -> SimOptions:
 
 
 def build_predictor(spec: dict):
-    """A fresh predictor instance for a canonical spec (cheap)."""
+    """A fresh predictor instance for a canonical spec."""
     return make_predictor(spec["predictor"], entries=spec["entries"])
+
+
+#: Distinct (predictor, entries) descriptions kept by
+#: :func:`predictor_description`; far more than one grid names.
+DESCRIPTIONS_KEPT = 256
+
+
+@lru_cache(maxsize=DESCRIPTIONS_KEPT)
+def predictor_description(name: str, entries: int) -> str:
+    """``make_predictor(name, entries=entries).describe()``, memoized.
+
+    The description is the matrix's predictor string and so part of
+    every request key; building the predictor allocates its whole table
+    (4096 x 17 weights for ``perceptron-4096``), which a memoized
+    request must not pay each time.  The predictor is built once per
+    key, so the string is exactly the one a fresh build describes.
+    """
+    return make_predictor(name, entries=entries).describe()
 
 
 def _compile_config(spec: dict) -> str:
@@ -305,7 +324,9 @@ def canonicalize_simulate(body: dict) -> JobSpec:
     spec = dict(_sim_fields(body), op="simulate")
     matrix = {
         "workload": spec["workload"],
-        "predictor": build_predictor(spec).describe(),
+        "predictor": predictor_description(
+            spec["predictor"], spec["entries"]
+        ),
         "frontend": build_options(spec).describe(),
     }
     stub = _stub("simulate", spec["workload"], spec, matrix)
@@ -332,7 +353,9 @@ def canonicalize_profile(body: dict) -> JobSpec:
     )
     matrix = {
         "workload": spec["workload"],
-        "predictor": build_predictor(spec).describe(),
+        "predictor": predictor_description(
+            spec["predictor"], spec["entries"]
+        ),
         "frontend": build_options(spec).describe(),
         "profile": ProfileSpec(
             rate=spec["rate"], seed=spec["seed"]
@@ -441,7 +464,7 @@ def canonicalize_sweep(body: dict) -> JobSpec:
     matrix = {
         "workloads": workloads,
         "predictors": [
-            make_predictor(p["name"], entries=p["entries"]).describe()
+            predictor_description(p["name"], p["entries"])
             for p in predictors
         ],
         "frontend": [

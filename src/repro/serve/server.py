@@ -6,8 +6,9 @@ and amortizes it across every request:
 
 * ``POST /v1/simulate`` / ``/v1/sweep`` / ``/v1/profile`` — canonicalize
   the body (:mod:`repro.serve.protocol`), look the request key up in the
-  :class:`~repro.runstore.RunStore` (memoization: an identical request
-  is a store lookup, not a re-simulation), otherwise admit a job into
+  daemon's index of the :class:`~repro.runstore.RunStore` (memoization:
+  an identical request is one read of the indexed record file, not a
+  re-simulation), otherwise admit a job into
   the priority queue (:mod:`repro.serve.jobqueue`).  ``"wait": true``
   (default) blocks until the job finishes; ``false`` returns 202 + a job
   id to poll.  Admission past ``--queue-depth`` is refused with 429.
@@ -40,11 +41,12 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs
 
 from repro import repro_version
-from repro.runstore import RunRecord, RunStore
+from repro.runstore import RunRecord, RunStore, load_record
 from repro.runstore.record import git_state
 from repro.serve import jobqueue
 from repro.serve.executor import execute_job, init_worker
@@ -107,6 +109,9 @@ class ServeServer:
         self.jobs: "Dict[str, Job]" = {}
         #: request_key -> run_id for every stored record (memo index)
         self.memo: Dict[str, str] = {}
+        #: run_id -> the record file answering it; a hit reads this one
+        #: file and never lists the store
+        self.run_paths: Dict[str, Path] = {}
         #: request_key -> not-yet-finished Job (request coalescing)
         self.inflight: Dict[str, Job] = {}
         self.started_at = 0.0
@@ -196,10 +201,38 @@ class ServeServer:
         )
 
     def _index_store(self) -> None:
-        """Prime the memo index from every record already on disk."""
-        for record in self.store.records():
+        """Prime the memo index from every record already on disk.
+
+        Records come oldest first, so of several files with one run id
+        the newest is indexed — the one :meth:`RunStore.find` returns.
+        """
+        for path in self.store.paths():
+            record = load_record(path)
             self.memo[record.request_key()] = record.run_id
+            self.run_paths[record.run_id] = path
         self._gauge("serve.memo_entries", len(self.memo))
+
+    def _load_run(self, run_id: str) -> Optional[RunRecord]:
+        """The stored record with ``run_id``, or ``None``.
+
+        Reads the indexed file (content hash re-checked by
+        :func:`load_record`).  If that file is gone — gc'd, or replaced
+        by ``if_exists="replace"`` — one store lookup finds the newest
+        duplicate with the same run id (e.g. a CLI ``--record`` of the
+        same run) and re-points the index at it.
+        """
+        path = self.run_paths.get(run_id)
+        if path is not None:
+            try:
+                return load_record(path)
+            except FileNotFoundError:
+                pass
+        paths = self.store.paths_for(run_id)
+        if not paths:
+            self.run_paths.pop(run_id, None)
+            return None
+        self.run_paths[run_id] = paths[-1]
+        return load_record(paths[-1])
 
     # -- telemetry helpers -------------------------------------------------
 
@@ -364,7 +397,9 @@ class ServeServer:
         )
         record.git = dict(self._git)
         record.seal()
-        self.store.add(record, if_exists="skip")
+        self.run_paths[record.run_id] = self.store.add(
+            record, if_exists="skip"
+        )
         self.memo[spec.request_key] = record.run_id
         self._gauge("serve.memo_entries", len(self.memo))
         return record
@@ -426,17 +461,17 @@ class ServeServer:
                                  ctx) -> Tuple[int, dict]:
         self._count(f"serve.requests.{op}")
 
-        # Memoization: identical request -> store lookup, no simulation.
+        # Memoization: identical request -> one file read, no simulation.
         run_id = self.memo.get(spec.request_key)
         if run_id is not None:
-            record = self.store.find(run_id)
+            record = self._load_run(run_id)
             if record is not None:
                 self._count("serve.cache_hit")
                 return 200, job_response(
                     spec.stub, record.metrics, record.run_id,
                     cached=True, sim_core=record.sim_core or self.core,
                 )
-            # Record gc'd behind our back: drop the stale index entry.
+            # No file holds the run any more: drop the stale entry.
             del self.memo[spec.request_key]
         self._count("serve.cache_miss")
 
@@ -542,7 +577,7 @@ class ServeServer:
         return 200, {"job_id": job_id, "state": job.state}
 
     def _handle_get_run(self, run_id: str) -> Tuple[int, dict]:
-        record = self.store.find(run_id)
+        record = self._load_run(run_id)
         if record is None:
             return 404, _error(
                 404, "unknown_run",

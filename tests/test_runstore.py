@@ -142,6 +142,47 @@ class TestStore:
         assert survivors == [3.0, 4.0]
 
 
+class TestRunIdLookup:
+    """``paths_for``/``contains``/``find`` match run ids on file names."""
+
+    def test_dot_files_are_never_returned(self, tmp_path):
+        store = RunStore(tmp_path)
+        record = make_record({"m.rate": 0.5})
+        path = store.add(record)
+        run_id = record.run_id
+        (tmp_path / f".tmp-abc-{run_id}.json").write_text("{}")
+        (tmp_path / f".lock-{run_id}").write_text("")
+        (tmp_path / f".lock-{run_id}.json").write_text("")
+        assert store.paths_for(run_id) == [path]
+        assert store.find(run_id).run_id == run_id
+
+    def test_duplicates_come_back_oldest_first(self, tmp_path):
+        store = RunStore(tmp_path)
+        newer = store.add(make_record({"m.rate": 0.5}, epoch=2000.0))
+        older = store.add(make_record({"m.rate": 0.5}, epoch=1000.0))
+        run_id = load_record(newer).run_id
+        assert store.paths_for(run_id) == [older, newer]
+        assert store.find(run_id).timestamp == utc_timestamp(2000.0)
+        assert store.contains(run_id)
+
+    def test_run_id_prefix_or_suffix_does_not_match(self, tmp_path):
+        store = RunStore(tmp_path)
+        run_id = store.resolve(
+            str(store.add(make_record({"m.rate": 0.5})))
+        ).run_id
+        for partial in (run_id[:-1], run_id[1:], run_id + "0",
+                        "0" + run_id, ""):
+            assert store.paths_for(partial) == []
+            assert not store.contains(partial)
+            assert store.find(partial) is None
+
+    def test_missing_root_holds_nothing(self, tmp_path):
+        store = RunStore(tmp_path / "absent")
+        assert store.paths_for("0123456789ab") == []
+        assert not store.contains("0123456789ab")
+        assert store.find("0123456789ab") is None
+
+
 class TestDiff:
     def test_identical_runs_ok(self):
         a = make_record({"m.misprediction_rate": 0.10, "m.mpki": 5.0})

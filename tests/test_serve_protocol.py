@@ -9,7 +9,14 @@ writes, minus metrics, so daemon and serial runs share run ids.
 
 import pytest
 
-from repro.runstore.record import RunRecord, request_key
+from repro.predictors import (
+    PGUConfig,
+    SFPConfig,
+    available_predictors,
+    make_predictor,
+)
+from repro.profiler.spec import ProfileSpec
+from repro.runstore.record import SCHEMA_VERSION, RunRecord, request_key
 from repro.serve.protocol import (
     MAX_SWEEP_POINTS,
     ProtocolError,
@@ -17,7 +24,9 @@ from repro.serve.protocol import (
     canonicalize,
     job_response,
     parse_controls,
+    predictor_description,
 )
+from repro.sim.driver import SimOptions
 
 
 def canon(op="simulate", **body):
@@ -216,3 +225,78 @@ class TestJobResponse:
         body = job_response(spec.stub, {}, "abc", cached=False)
         assert body["request_key"] == spec.request_key
         assert body["request_key"] == request_key(spec.stub)
+
+
+class TestRunIdsCannotMove:
+    """The memoized predictor description is exactly a fresh build's, so
+    request keys (and hence run ids) are what they were when every
+    request built its predictor."""
+
+    # perceptron at MAX_ENTRIES would allocate 4M weight rows.
+    @pytest.mark.parametrize("entries", [64, 4096, 65536])
+    @pytest.mark.parametrize("name", available_predictors())
+    def test_description_matches_a_fresh_build(self, name, entries):
+        fresh = make_predictor(name, entries=entries).describe()
+        assert predictor_description(name, entries) == fresh
+        assert predictor_description(name, entries) == fresh  # memoized
+
+    @staticmethod
+    def reference_stub(kind, label, matrix, scale="tiny"):
+        return {
+            "schema": SCHEMA_VERSION, "kind": kind, "label": label,
+            "scale": scale, "compile_config": "hyperblock",
+            "matrix": matrix,
+        }
+
+    def test_simulate_key(self):
+        body = {"workload": "crc", "predictor": "perceptron",
+                "entries": 256, "scale": "tiny", "distance": 2,
+                "sfp": True}
+        matrix = {
+            "workload": "crc",
+            "predictor": make_predictor(
+                "perceptron", entries=256).describe(),
+            "frontend": SimOptions(
+                distance=2, sfp=SFPConfig()).describe(),
+        }
+        assert canon(**body).request_key == request_key(
+            self.reference_stub("simulate", "crc", matrix)
+        )
+
+    def test_profile_key(self):
+        body = {"workload": "qsort", "predictor": "tage",
+                "entries": 1024, "scale": "tiny", "pgu": True,
+                "rate": 4, "seed": 7}
+        matrix = {
+            "workload": "qsort",
+            "predictor": make_predictor("tage", entries=1024).describe(),
+            "frontend": SimOptions(
+                distance=4, pgu=PGUConfig()).describe(),
+            "profile": ProfileSpec(rate=4, seed=7).describe(),
+        }
+        assert canon("profile", **body).request_key == request_key(
+            self.reference_stub("profile", "qsort", matrix)
+        )
+
+    def test_sweep_key(self):
+        body = {
+            "workloads": ["qsort", "crc"],
+            "predictors": ["gshare", {"name": "tournament",
+                                      "entries": 1024}],
+            "options": [{"sfp": True}, {"distance": 8, "pgu": True}],
+            "scale": "tiny",
+        }
+        matrix = {
+            "workloads": ["crc", "qsort"],
+            "predictors": [
+                make_predictor("gshare", entries=4096).describe(),
+                make_predictor("tournament", entries=1024).describe(),
+            ],
+            "frontend": [
+                SimOptions(distance=4, sfp=SFPConfig()).describe(),
+                SimOptions(distance=8, pgu=PGUConfig()).describe(),
+            ],
+        }
+        assert canon("sweep", **body).request_key == request_key(
+            self.reference_stub("sweep", "sweep", matrix)
+        )

@@ -17,13 +17,14 @@ The acceptance assertions from the issue live here:
 
 import http.client
 import json
+import os
 import time
 from contextlib import contextmanager
 
 import pytest
 
 from repro.cli import main
-from repro.runstore import RunStore
+from repro.runstore import RunRecord, RunStore, utc_timestamp
 from repro.serve import ServeClient, ServeConfig, ServerThread
 
 TINY = {"workload": "crc", "scale": "tiny"}
@@ -61,6 +62,39 @@ def wait_for(predicate, timeout=60.0, interval=0.01):
     raise AssertionError("condition not met before timeout")
 
 
+def fill_store(store, count):
+    """``count`` sealed records under request keys no test asks for."""
+    runs = RunStore(store)
+    for i in range(count):
+        record = RunRecord(
+            kind="simulate", label=f"filler{i:04d}", scale="tiny",
+            metrics={"filler.value": float(i)},
+        )
+        record.timestamp = utc_timestamp(1000.0 + i)
+        record.git = {"sha": "f" * 40, "dirty": False}
+        runs.add(record.seal())
+
+
+@contextmanager
+def store_listings():
+    """The ``RunStore.paths`` and ``os.scandir`` calls made inside."""
+    calls = []
+    paths, scandir = RunStore.paths, os.scandir
+
+    def spy_paths(store):
+        calls.append("RunStore.paths")
+        return paths(store)
+
+    def spy_scandir(*args):
+        calls.append("os.scandir")
+        return scandir(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RunStore, "paths", spy_paths)
+        patch.setattr(os, "scandir", spy_scandir)
+        yield calls
+
+
 class TestMemoization:
     def test_second_request_is_a_cache_hit_without_simulation(
         self, tmp_path
@@ -95,23 +129,89 @@ class TestMemoization:
         with serve(store) as (_, client):
             _, first = client.simulate(**TINY)
             assert first["cached"] is False
-        # New daemon, same store: the index is primed from disk.
-        with serve(store) as (_, client):
-            status, again = client.simulate(**TINY)
+        # New daemon, same store: the index is primed from disk, so the
+        # hit reads the indexed file without listing the store.
+        with serve(store) as (handle, client):
+            (path,) = RunStore(store).paths_for(first["run_id"])
+            assert handle.server.run_paths[first["run_id"]] == path
+            with store_listings() as calls:
+                status, again = client.simulate(**TINY)
             assert status == 200
             assert again["cached"] is True
             assert again["run_id"] == first["run_id"]
+            assert calls == []
             assert counter(client, "serve.cache_miss") == 0
 
     def test_run_route_returns_the_stored_record(self, tmp_path):
         with serve(tmp_path / "runs") as (_, client):
             _, body = client.simulate(**TINY)
-            status, record = client.run(body["run_id"])
+            with store_listings() as calls:
+                status, record = client.run(body["run_id"])
+            assert calls == []  # read through the daemon's index
             assert status == 200
             assert record["run_id"] == body["run_id"]
             assert record["kind"] == "simulate"
             assert record["metrics"] == body["metrics"]
             assert record["command"] == "serve simulate"
+
+
+class TestMemoIndex:
+    """The daemon answers a hit from its request-key index: one read of
+    the indexed record file, no store listing; a stale entry falls back
+    to one store lookup."""
+
+    def test_hit_lists_nothing_in_a_full_store(self, tmp_path):
+        store = tmp_path / "runs"
+        fill_store(store, 500)
+        with serve(store) as (_, client):
+            status, miss = client.simulate(**TINY)
+            assert status == 200 and miss["cached"] is False
+            with store_listings() as calls:
+                status, hit = client.simulate(**TINY)
+        assert status == 200
+        assert calls == []
+        assert hit.pop("cached") is True
+        assert miss.pop("cached") is False
+        assert hit == miss
+
+    def test_deleted_record_falls_back_to_a_duplicate(self, tmp_path):
+        store = tmp_path / "runs"
+        with serve(store) as (handle, client):
+            _, first = client.simulate(**TINY)
+            run_id = first["run_id"]
+            published = handle.server.run_paths[run_id]
+            # A second file with the same run id.
+            assert main([
+                "simulate", "crc", "--scale", "tiny",
+                "--record", "--store", str(store),
+            ]) == 0
+            (duplicate,) = [
+                path for path in RunStore(store).paths_for(run_id)
+                if path != published
+            ]
+            published.unlink()
+            status, again = client.simulate(**TINY)
+            assert status == 200
+            assert again["cached"] is True
+            assert again["run_id"] == run_id
+            assert handle.server.run_paths[run_id] == duplicate
+            assert counter(client, "serve.cache_miss") == 1
+            assert counter(client, "serve.cache_hit") == 1
+
+    def test_no_file_left_is_a_miss_that_republishes(self, tmp_path):
+        store = tmp_path / "runs"
+        with serve(store) as (handle, client):
+            _, first = client.simulate(**TINY)
+            run_id = first["run_id"]
+            handle.server.run_paths[run_id].unlink()
+            assert RunStore(store).paths_for(run_id) == []
+            status, again = client.simulate(**TINY)
+            assert status == 200
+            assert again["cached"] is False
+            assert again["run_id"] == run_id
+            assert counter(client, "serve.cache_miss") == 2
+            (path,) = RunStore(store).paths_for(run_id)
+            assert handle.server.run_paths[run_id] == path
 
 
 class TestSerialDaemonIdentity:

@@ -454,6 +454,19 @@ class BranchFacts:
         }
 
 
+#: Field names and JSON types of :meth:`BranchFacts.to_dict` — the
+#: contract the schema checker validates branch records against.
+BRANCH_FIELDS = {
+    "pc": int, "function": str, "index": int, "opcode": str,
+    "region": int, "region_based": bool, "guard": int, "guard_value": str,
+    "min_avail": int, "max_avail": int, "may_be_undefined": bool,
+    "reaching_defines": list, "guard_defines": list,
+    "in_region_defines": list, "complement_only": bool,
+    "dominated_by_define": bool, "must_not_taken": bool,
+    "must_taken": bool, "sfp_verdict": str,
+}
+
+
 @dataclass
 class FunctionFacts:
     """All branch facts of one function."""

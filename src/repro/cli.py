@@ -267,6 +267,15 @@ def _cmd_hotspots(args) -> int:
     return 0
 
 
+#: Top-level fields and JSON types of the ``repro profile --json`` report
+#: (``attribution`` is :meth:`AttributionAggregator.to_dict`).
+PROFILE_REPORT_FIELDS = {
+    "workload": str, "scale": str, "compile_config": str,
+    "predictor": str, "frontend": str, "simulated": dict,
+    "attribution": dict,
+}
+
+
 def _cmd_profile(args) -> int:
     import json
 
@@ -427,6 +436,13 @@ def _analyze_h2p(args, workload, executable, predflow):
     return join_static_facts(ranked, predflow, distance=args.distance)
 
 
+#: Fields ``repro analyze --json`` adds to :meth:`PredflowReport.to_dict`
+#: (plus ``h2p`` under ``--h2p``).
+ANALYZE_FIELDS = {
+    "workload": str, "scale": str, "compile_config": str, "regions": dict,
+}
+
+
 def _cmd_analyze(args) -> int:
     import json
 
@@ -541,6 +557,11 @@ def _lint_targets(args):
             workload = make_synthetic(bias, noise, spacing)
             targets.append((workload.name, workload))
     return targets
+
+
+#: Top-level fields of the ``repro lint --json`` report (each program
+#: is :meth:`LintReport.to_dict`).
+LINT_REPORT_FIELDS = {"programs": list, "totals": dict}
 
 
 def _cmd_lint(args) -> int:

@@ -71,6 +71,10 @@ def request_key(payload: dict) -> str:
     return payload_hash(request_payload(payload))[:16]
 
 
+#: Fields and JSON types of the ``git`` envelope :func:`git_state` writes.
+GIT_FIELDS = {"sha": str, "dirty": bool}
+
+
 def git_state(cwd=None) -> dict:
     """``{"sha": ..., "dirty": ...}`` of the enclosing git tree.
 

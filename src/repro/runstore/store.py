@@ -31,7 +31,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 STORE_ENV = "REPRO_RUNSTORE"
 
 #: Accepted ``RunStore.add`` collision policies.
-IF_EXISTS = ("append", "skip", "replace")
+IF_EXISTS = ("append", "skip")
 
 #: Default store root, relative to the working directory.
 DEFAULT_ROOT = ".repro/runs"
@@ -49,7 +49,7 @@ class RunStore:
     """Append-only, content-addressed collection of RunRecords.
 
     Run-id lookups (:meth:`paths_for`, :meth:`contains`, :meth:`find`,
-    and the ``skip``/``replace`` collision check in :meth:`add`) read
+    and the ``skip`` collision check in :meth:`add`) read
     file names only: a record's run id is the suffix of its name, so
     nothing is parsed or loaded until a match is found.  A caller that
     looks up the same runs repeatedly (the ``repro serve`` daemon) keeps
@@ -76,15 +76,12 @@ class RunStore:
           exists, nothing is written and the existing (newest) path is
           returned.  Right for the result-*cache* reading: N racing
           writers of identical content perform exactly one write.
-        * ``"replace"`` — last writer wins: the new file is published
-          and any older files with the same run id are removed, so at
-          most one record per run id survives.
 
-        The ``skip``/``replace`` paths serialise racing writers of the
-        *same* run id with a per-run-id advisory file lock (the same
-        pattern the trace cache uses per key); the publish itself stays
-        the atomic temp-file + ``os.replace`` it always was, so readers
-        never observe a partial record under any policy.
+        The ``skip`` path serialises racing writers with one advisory
+        file lock, ``.lock`` in the store root (the ``flock`` pattern
+        the trace cache uses); the publish itself stays the atomic
+        temp-file + ``os.replace`` it always was, so readers never
+        observe a partial record under either policy.
         """
         if if_exists not in IF_EXISTS:
             raise ValueError(
@@ -95,15 +92,11 @@ class RunStore:
         self.root.mkdir(parents=True, exist_ok=True)
         if if_exists == "append":
             return self._publish(record)
-        with self._run_id_lock(record.run_id):
+        with self._lock():
             existing = self.paths_for(record.run_id)
-            if existing and if_exists == "skip":
+            if existing:
                 return existing[-1]
-            path = self._publish(record)
-            for victim in existing:
-                if victim != path:
-                    victim.unlink(missing_ok=True)
-            return path
+            return self._publish(record)
 
     def _publish(self, record: RunRecord) -> Path:
         path = self.root / f"{record.timestamp}-{record.run_id}.json"
@@ -124,12 +117,17 @@ class RunStore:
         return path
 
     @contextmanager
-    def _run_id_lock(self, run_id: str):
-        """Exclusive per-run-id advisory lock (no-op where unsupported)."""
+    def _lock(self):
+        """Exclusive store-wide advisory lock (no-op where unsupported).
+
+        One ``.lock`` file for the whole store: the critical section is
+        a name scan plus at most one publish, and a file per run id
+        would leave one dot-file behind for every record written.
+        """
         if fcntl is None:  # pragma: no cover - non-POSIX fallback
             yield
             return
-        lock_path = self.root / f".lock-{run_id}"
+        lock_path = self.root / ".lock"
         with open(lock_path, "w") as handle:
             fcntl.flock(handle, fcntl.LOCK_EX)
             try:
@@ -154,8 +152,8 @@ class RunStore:
         Matches on file names alone, in one directory scan, and builds a
         :class:`Path` only for the matches — the cost of a lookup is one
         listing, not one ``Path`` per stored record.  Dot-files (the
-        ``.tmp-*`` publish temporaries, the ``.lock-*`` per-run-id
-        locks) never match; a missing root holds nothing.
+        ``.tmp-*`` publish temporaries, the ``.lock`` writer
+        lock) never match; a missing root holds nothing.
         """
         suffix = f"-{run_id}.json"
         try:

@@ -216,10 +216,9 @@ class ServeServer:
         """The stored record with ``run_id``, or ``None``.
 
         Reads the indexed file (content hash re-checked by
-        :func:`load_record`).  If that file is gone — gc'd, or replaced
-        by ``if_exists="replace"`` — one store lookup finds the newest
-        duplicate with the same run id (e.g. a CLI ``--record`` of the
-        same run) and re-points the index at it.
+        :func:`load_record`).  If that file is gone (gc'd), one store
+        lookup finds the newest duplicate with the same run id (e.g. a
+        CLI ``--record`` of the same run) and re-points the index at it.
         """
         path = self.run_paths.get(run_id)
         if path is not None:

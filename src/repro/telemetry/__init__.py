@@ -1,6 +1,6 @@
 """Telemetry: metrics, span tracing and cross-process aggregation.
 
-Three small pieces, composable and individually optional:
+Five small pieces, composable and individually optional:
 
 * :mod:`repro.telemetry.registry` — a process-local
   :class:`MetricsRegistry` of counters, gauges and fixed-bucket

@@ -112,6 +112,22 @@ def from_traceparent(value: str) -> TraceContext:
     return TraceContext(trace_id=trace_id, span_id=span_id)
 
 
+#: Field names and JSON types of one ``trace-span`` record written by
+#: :func:`make_record` — the contract the schema checker validates
+#: against.  ``attrs`` appears only when the span has attributes.
+SPAN_FIELDS = {
+    "event": str,
+    "trace_id": str,
+    "span_id": str,
+    "parent_id": str,
+    "name": str,
+    "start": float,
+    "seconds": float,
+    "pid": int,
+}
+SPAN_OPTIONAL_FIELDS = {"attrs": dict}
+
+
 def make_record(ctx: TraceContext, name: str, start: float,
                 seconds: float, attrs: Optional[dict] = None) -> dict:
     """One finished span as its JSONL dict.

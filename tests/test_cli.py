@@ -386,55 +386,3 @@ class TestProfileCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert "profile-header" in err
-
-
-def _load_schema_tool():
-    import importlib.util
-    from pathlib import Path
-
-    path = (
-        Path(__file__).resolve().parent.parent
-        / "tools"
-        / "check_lint_schema.py"
-    )
-    spec = importlib.util.spec_from_file_location(
-        "check_lint_schema", path
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-class TestLintSchemaTool:
-    def test_accepts_real_artifacts(self, capsys, tmp_path):
-        tool = _load_schema_tool()
-        _, lint_out = run_cli(capsys, "lint", "crc", "--json")
-        _, analyze_out = run_cli(capsys, "analyze", "crc", "--json")
-        lint_path = tmp_path / "lint.json"
-        lint_path.write_text(lint_out)
-        analyze_path = tmp_path / "analyze.json"
-        analyze_path.write_text(analyze_out)
-        assert (
-            tool.main(
-                ["--lint", str(lint_path), "--analyze", str(analyze_path)]
-            )
-            == 0
-        )
-
-    def test_rejects_schema_drift(self, capsys, tmp_path):
-        import json
-
-        tool = _load_schema_tool()
-        _, analyze_out = run_cli(capsys, "analyze", "crc", "--json")
-        payload = json.loads(analyze_out)
-        del payload["summary"]["verdicts"]
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(payload))
-        assert tool.main(["--analyze", str(bad)]) == 1
-
-        _, lint_out = run_cli(capsys, "lint", "crc", "--json")
-        payload = json.loads(lint_out)
-        payload["totals"]["error"] += 1
-        bad_lint = tmp_path / "bad_lint.json"
-        bad_lint.write_text(json.dumps(payload))
-        assert tool.main(["--lint", str(bad_lint)]) == 1

@@ -6,8 +6,8 @@ one store) can finish the *same* memoized job at the same moment and
 publish records with the same run id.  ``RunStore.add`` must make that
 race benign:
 
-* ``if_exists="skip"``  — first writer wins, exactly one file;
-* ``if_exists="replace"`` — last writer wins, exactly one file;
+* ``if_exists="skip"`` — first writer wins, exactly one file, and
+  the writers share one ``.lock`` file in the store root;
 * ``if_exists="append"`` — the historical default keeps every copy.
 """
 
@@ -56,15 +56,6 @@ class TestPolicies:
         assert len(store.paths_for(first.run_id)) == 1
         assert store.find(first.run_id).timestamp == first.timestamp
 
-    def test_replace_is_last_writer_wins(self, tmp_path):
-        store = RunStore(tmp_path)
-        first = make_record(epoch=1000.0)
-        later = make_record(epoch=2000.0)
-        store.add(first, if_exists="replace")
-        store.add(later, if_exists="replace")
-        assert len(store.paths_for(first.run_id)) == 1
-        assert store.find(first.run_id).timestamp == later.timestamp
-
     def test_policies_only_collapse_identical_content(self, tmp_path):
         store = RunStore(tmp_path)
         a = make_record(mpki=1.5)
@@ -77,7 +68,9 @@ class TestPolicies:
     def test_unknown_policy_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="if_exists"):
             RunStore(tmp_path).add(make_record(), if_exists="upsert")
-        assert set(IF_EXISTS) == {"append", "skip", "replace"}
+        with pytest.raises(ValueError, match="if_exists"):
+            RunStore(tmp_path).add(make_record(), if_exists="replace")
+        assert set(IF_EXISTS) == {"append", "skip"}
 
     def test_lookup_helpers(self, tmp_path):
         store = RunStore(tmp_path)
@@ -92,7 +85,7 @@ class TestPolicies:
 class TestTwoProcessRace:
     """The satellite's acceptance test: two real processes racing."""
 
-    @pytest.mark.parametrize("policy", ["skip", "replace"])
+    @pytest.mark.parametrize("policy", ["skip"])
     def test_racing_writers_leave_exactly_one_record(
         self, tmp_path, policy
     ):
@@ -116,6 +109,9 @@ class TestTwoProcessRace:
         assert len(paths) == 1
         # The surviving file is valid and complete (no torn writes).
         assert store.find(run_id).metrics == {"crc.mpki": 1.5}
+        # One shared lock file, no per-run-id leftovers.
+        assert [p.name for p in tmp_path.iterdir()
+                if p.name.startswith(".")] == [".lock"]
 
     def test_racing_append_writers_keep_both(self, tmp_path):
         context = multiprocessing.get_context("spawn")

@@ -124,6 +124,18 @@ class TestMemoization:
             assert counter(client, "serve.cache_hit") == 1
             assert counter(client, "serve.cache_miss") == 1
 
+    def test_misses_leave_records_and_one_lock_file(self, tmp_path):
+        store = tmp_path / "runs"
+        predictors = ("gshare", "bimodal", "gselect")
+        with serve(store) as (_, client):
+            for predictor in predictors:
+                status, body = client.simulate(predictor=predictor, **TINY)
+                assert status == 200
+                assert body["cached"] is False
+        assert len(RunStore(store).paths()) == len(predictors)
+        dot_files = [p for p in store.iterdir() if p.name.startswith(".")]
+        assert len(dot_files) <= 1
+
     def test_hit_survives_a_daemon_restart(self, tmp_path):
         store = tmp_path / "runs"
         with serve(store) as (_, client):

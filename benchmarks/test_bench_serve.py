@@ -13,7 +13,11 @@ Acceptance gates on live daemons (inline executor, private stores):
   keep-alive connections, which must clear 200 req/s;
 * ``bench_serve_store_size_gate`` — a warm hit costs the same however
   many records the store holds: its p50 with 2,000 other records on
-  disk is at most 2x the p50 on an otherwise empty store.
+  disk is at most 2x the p50 on an otherwise empty store;
+* ``bench_serve_table_size_gate`` — a cold miss costs what its replay
+  touches, not its configured table size: a ``perceptron`` simulate
+  job with 16,384 entries takes at most 1.3x one with 256 on the same
+  tiny trace (median job time).
 
 All numbers ride out through :func:`emit_gate`, so
 ``$REPRO_BENCH_JSON`` (committed as ``BENCH_serve.json``) and the
@@ -21,6 +25,7 @@ run-history store track the daemon's service-latency trend.
 """
 
 import asyncio
+import statistics
 import tempfile
 import time
 from contextlib import ExitStack
@@ -33,6 +38,8 @@ from repro.serve import (
     ServeConfig,
     ServerThread,
 )
+from repro.serve.executor import execute_job
+from repro.serve.protocol import canonicalize_simulate
 from repro.telemetry import QuantileSketch
 
 #: Cold request scale: big enough that one simulation dwarfs the HTTP
@@ -57,6 +64,14 @@ RPS_FLOOR = 200.0
 #: record-path index) read 16x on a 2-vCPU host, ~40x on others.
 STORE_RECORDS = 2000
 STORE_SIZE_RATIO_CEILING = 2.0
+
+#: Table-size gate: cold perceptron jobs per size (after one warm-up
+#: job each, which loads the trace and decodes its plan), the two
+#: sizes, and the ceiling on (large median) / (small median).  With
+#: every row and row memo allocated up front the ratio read 2.0-5.8x.
+TABLE_JOBS = 15
+TABLE_SIZES = (256, 16384)
+TABLE_SIZE_RATIO_CEILING = 1.3
 
 REQUEST = {"workload": "crc", "scale": SCALE}
 
@@ -214,4 +229,49 @@ def bench_serve_store_size_gate(benchmark):
         f"warm hit with {STORE_RECORDS} stored records is {ratio:.1f}x "
         f"the empty-store hit; the ceiling is "
         f"{STORE_SIZE_RATIO_CEILING:.0f}x"
+    )
+
+
+def bench_serve_table_size_gate(benchmark):
+    """A cold perceptron-16384 job costs <= 1.3x a perceptron-256 one."""
+    specs = {
+        entries: canonicalize_simulate({
+            "workload": "crc", "scale": "tiny",
+            "predictor": "perceptron", "entries": entries,
+        }).spec
+        for entries in TABLE_SIZES
+    }
+    seconds = {entries: [] for entries in TABLE_SIZES}
+
+    def run():
+        for spec in specs.values():
+            execute_job(spec, core="fast")
+        # Alternate the sizes so host drift hits both.
+        for _ in range(TABLE_JOBS):
+            for entries, spec in specs.items():
+                started = time.perf_counter()
+                execute_job(spec, core="fast")
+                seconds[entries].append(time.perf_counter() - started)
+
+    run_once(benchmark, run)
+    small, large = (statistics.median(seconds[n]) for n in TABLE_SIZES)
+    ratio = large / small
+    emit_gate(
+        "serve_table_size",
+        small_entries=TABLE_SIZES[0],
+        large_entries=TABLE_SIZES[1],
+        small_job_p50_seconds=small,
+        large_job_p50_seconds=large,
+        jobs_per_size=TABLE_JOBS,
+        ratio=ratio,
+    )
+    print(
+        f"\ncold perceptron job p50: {TABLE_SIZES[0]} entries "
+        f"{small * 1000:.2f}ms, {TABLE_SIZES[1]} entries "
+        f"{large * 1000:.2f}ms, ratio {ratio:.2f}x"
+    )
+    assert ratio <= TABLE_SIZE_RATIO_CEILING, (
+        f"a cold perceptron-{TABLE_SIZES[1]} job is {ratio:.2f}x a "
+        f"perceptron-{TABLE_SIZES[0]} one; the ceiling is "
+        f"{TABLE_SIZE_RATIO_CEILING}x"
     )

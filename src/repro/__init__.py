@@ -33,15 +33,20 @@ Quickstart::
     print(result.misprediction_rate)
 """
 
+from functools import lru_cache
+
 __version__ = "1.0.0"
 
 
+@lru_cache(maxsize=None)
 def repro_version() -> str:
     """The installed package version, falling back to ``__version__``.
 
     ``PYTHONPATH=src`` runs (CI, dev checkouts) have no installed
     distribution metadata; the module constant keeps RunRecords and
-    JSONL headers stamped either way.
+    JSONL headers stamped either way.  Looked up once per process: the
+    metadata search scans every distribution on ``sys.path``, and the
+    daemon stamps a record on every miss.
     """
     try:
         from importlib.metadata import PackageNotFoundError, version

@@ -8,6 +8,30 @@ predicate bits help a fundamentally different history consumer too.
 from repro.predictors.base import BranchPredictor
 
 
+class WeightRows(dict):
+    """Weight rows by row index, each created as zeros on first touch.
+
+    A table of ``entries`` rows costs nothing until a branch indexes
+    it, so a short replay pays for the few rows it touches, not for the
+    configured size.  Rows are plain lists, updated in place; the
+    class is module-level, so tables pickle and deep-copy.
+    """
+
+    def __init__(self, width: int):
+        super().__init__()
+        self.width = width
+
+    def __missing__(self, row: int) -> list:
+        weights = self[row] = [0] * self.width
+        return weights
+
+    def rows(self, entries: int) -> list:
+        """Every row of an ``entries``-row table, untouched ones as
+        zeros (fresh lists)."""
+        zero = [0] * self.width
+        return [list(self.get(row, zero)) for row in range(entries)]
+
+
 class PerceptronPredictor(BranchPredictor):
     """Table of perceptrons over the last ``history_bits`` history bits.
 
@@ -24,8 +48,8 @@ class PerceptronPredictor(BranchPredictor):
         self.mask = entries - 1
         self.weight_limit = (1 << (weight_bits - 1)) - 1
         self.threshold = int(1.93 * history_bits + 14)
-        # weights[i] = [bias, w_1 .. w_h]
-        self.weights = [[0] * (history_bits + 1) for _ in range(entries)]
+        # weights[i] = [bias, w_1 .. w_h], made when row i is touched
+        self.weights = WeightRows(history_bits + 1)
         self.name = f"perceptron-{entries}x{history_bits}"
 
     def _output(self, pc: int, history: int) -> int:
@@ -59,7 +83,10 @@ class PerceptronPredictor(BranchPredictor):
     def storage_bits(self) -> int:
         return self.entries * (self.history_bits + 1) * 8
 
+    def state(self) -> dict:
+        """The weights as a full list of rows, shaped like
+        :meth:`repro.sim.fastcore.kernels.PerceptronKernel.state`."""
+        return {"weights": self.weights.rows(self.entries)}
+
     def reset(self) -> None:
-        self.weights = [
-            [0] * (self.history_bits + 1) for _ in range(self.entries)
-        ]
+        self.weights = WeightRows(self.history_bits + 1)

@@ -279,10 +279,11 @@ def predictor_description(name: str, entries: int) -> str:
     """``make_predictor(name, entries=entries).describe()``, memoized.
 
     The description is the matrix's predictor string and so part of
-    every request key; building the predictor allocates its whole table
-    (4096 x 17 weights for ``perceptron-4096``), which a memoized
-    request must not pay each time.  The predictor is built once per
-    key, so the string is exactly the one a fresh build describes.
+    every request key.  Building a predictor allocates no table (a
+    perceptron makes each weight row on first touch), but it is still
+    one construction per request, which a memoized hit need not pay.
+    The predictor is built once per key, so the string is exactly the
+    one a fresh build describes.
     """
     return make_predictor(name, entries=entries).describe()
 

@@ -240,17 +240,14 @@ def _simulate(
     else:
         misfetched = np.zeros(0, dtype=np.int64)
 
-    branch_counts = np.bincount(plan.cls, minlength=3)
+    # Only the mispredictions depend on the replay; the plan holds the
+    # per-class branch and squash counts.
     mis_counts = np.bincount(plan.cls[mis], minlength=3)
-    if squash is not None:
-        squash_counts = np.bincount(plan.cls[squash], minlength=3)
-    else:
-        squash_counts = np.zeros(3, dtype=np.int64)
     per_class = {
         branch_class: ClassStats(
-            branches=int(branch_counts[int(branch_class)]),
+            branches=int(plan.class_counts[int(branch_class)]),
             mispredictions=int(mis_counts[int(branch_class)]),
-            squashed=int(squash_counts[int(branch_class)]),
+            squashed=int(plan.squash_class_counts[int(branch_class)]),
         )
         for branch_class in (
             BranchClass.NORMAL, BranchClass.REGION, BranchClass.LOOP
@@ -283,7 +280,7 @@ def _simulate(
         instructions=plan.instructions,
         branches=n,
         mispredictions=int(mis.shape[0]),
-        squashed=int(squash.sum()) if squash is not None else 0,
+        squashed=plan.squashed,
         per_class=per_class,
         misfetches=int(misfetched.shape[0]),
         flags=flags,

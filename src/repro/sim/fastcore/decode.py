@@ -36,7 +36,7 @@ import mmap
 import threading
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Hashable, Optional
 
 import numpy as np
@@ -70,6 +70,22 @@ class ReplayPlan:
     ev_trans: np.ndarray  #: uint8, event applies a counter transition
     uniform: bool  #: every event is read+trans (the common tight case)
     applied_updates: int  #: delayed updates that actually applied
+    # -- per-class counts, fixed by the plan -----------------------------
+    class_counts: np.ndarray = field(init=False)  #: branches per class
+    #: squashed branches per class (zeros without SFP)
+    squash_class_counts: np.ndarray = field(init=False)
+    squashed: int = field(init=False)  #: squashed branches
+
+    def __post_init__(self):
+        self.class_counts = np.bincount(self.cls, minlength=3)
+        if self.squash is None:
+            self.squash_class_counts = np.zeros(3, dtype=np.int64)
+            self.squashed = 0
+        else:
+            self.squash_class_counts = np.bincount(
+                self.cls[self.squash], minlength=3
+            )
+            self.squashed = int(self.squash.sum())
 
     def per_event(self, values: np.ndarray) -> np.ndarray:
         """Per-branch ``values`` at every event (``values[ev_branch]``);

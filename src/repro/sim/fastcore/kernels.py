@@ -2,8 +2,9 @@
 
 A kernel is the allocation-free counterpart of one
 :class:`~repro.predictors.base.BranchPredictor`: its state is plain
-Python lists of small ints (picklable, pokeable, trivially diffable) and
-its scalar ABI works entirely on integers:
+Python lists of small ints (picklable, pokeable, trivially diffable;
+the perceptron's rows sit in a dict that makes each on first touch),
+and its scalar ABI works entirely on integers:
 
 * ``predict(pc, ghist) -> (pred, idx)`` — predicted direction (0/1) and
   the state index the prediction read.
@@ -37,7 +38,7 @@ import numpy as np
 from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.gshare import GSharePredictor
 from repro.predictors.gselect import GSelectPredictor
-from repro.predictors.perceptron import PerceptronPredictor
+from repro.predictors.perceptron import PerceptronPredictor, WeightRows
 from repro.predictors.tage import TagePredictor, _fold
 from repro.predictors.tournament import TournamentPredictor
 from repro.predictors.twolevel import GAgPredictor, LocalPredictor
@@ -418,6 +419,9 @@ class PerceptronKernel:
     with ``s_i = +1`` where bit ``i - 1`` is set and ``-1`` elsewhere,
     so the output is one dot product with the row (bias included) and
     training adds the tuple to the row (subtracts it for not-taken).
+    ``weights`` is a :class:`~repro.predictors.perceptron.WeightRows`:
+    a row exists once an event has indexed it, so building a kernel
+    costs the same at every table size.
     """
 
     batchable = False
@@ -428,7 +432,7 @@ class PerceptronKernel:
             raise ValueError("entries must be a positive power of two")
         if threshold < 0:
             raise ValueError("threshold must be non-negative")
-        self.weights = [[0] * (history_bits + 1) for _ in range(entries)]
+        self.weights = WeightRows(history_bits + 1)
         self.mask = entries - 1
         self.history_bits = history_bits
         self.history_mask = (1 << history_bits) - 1
@@ -476,14 +480,15 @@ class PerceptronKernel:
         return keys.reshape(-1).tolist(), list(map(tuple, signs.tolist()))
 
     def state(self) -> dict:
-        return {"weights": [list(row) for row in self.weights]}
+        return {"weights": self.weights.rows(self.mask + 1)}
 
     def load_state(self, state: dict) -> None:
         weights = _check_size(state["weights"], self.mask + 1, "weights")
-        rows = [
+        rows = WeightRows(self.history_bits + 1)
+        rows.update(enumerate(
             _check_size(row, self.history_bits + 1, "weight row")
             for row in weights
-        ]
+        ))
         self.weights = rows
 
 

@@ -43,8 +43,9 @@ TAGE slots and tags); only their serial table state stays in Python:
 
 * :func:`_replay_tournament` — tournaments on plans with read /
   transition flags, and (through the scalar ABI) over other components;
-* :func:`_replay_perceptron` — memoizes each row's outputs by history
-  value until that row next trains;
+* :func:`_replay_perceptron` — memoizes each touched row's outputs by
+  history value until that row next trains, without per-event flag
+  lookups where every event reads and trains;
 * :func:`_replay_tage` — allocation and aging make every event depend
   on the state the previous one left.
 
@@ -58,6 +59,7 @@ vectorised.
 """
 
 import operator
+from collections import defaultdict
 from typing import NamedTuple
 
 import numpy as np
@@ -375,24 +377,28 @@ def _replay_perceptron(kernel, pc, ghr, taken, read, trans):
     trainings.
 
     A row's weights only change when it trains, so its output for a
-    sign key stays valid until then: one ``{key: output}`` dict per row,
-    cleared when that row trains.  Training follows the kernel's rule
-    (wrong, or ``|output| <= threshold``), which for a non-negative
-    threshold is ``output <= threshold`` on a taken event and
-    ``output >= -threshold`` on a not-taken one.
+    sign key stays valid until then: one ``{key: output}`` dict per
+    row the chunk touches, cleared when that row trains.  Training
+    follows the kernel's rule (wrong, or ``|output| <= threshold``),
+    which for a non-negative threshold is ``output <= threshold`` on a
+    taken event and ``output >= -threshold`` on a not-taken one.  A
+    chunk whose events all read and train (every chunk of a
+    ``uniform`` plan) runs a loop without the per-event flag lookups.
     """
-    takens = taken.tolist()
-    reads = read.tolist()
-    transs = trans.tolist()
     rows = (pc & kernel.mask).tolist()
     keys, sign_tuples = kernel.batch_signs(ghr)
+    takens = taken.tolist()
+    if read.all() and trans.all():
+        return _perceptron_uniform(kernel, rows, keys, sign_tuples, takens)
+    reads = read.tolist()
+    transs = trans.tolist()
     weights = kernel.weights
     threshold = kernel.threshold
     clip = kernel.clip.__getitem__
     mul = operator.mul
     plus = operator.add
     minus = operator.sub
-    memos = [{} for _ in weights]
+    memos = defaultdict(dict)
     mis = []
     add = mis.append
     k = 0
@@ -411,6 +417,43 @@ def _replay_perceptron(kernel, pc, ghr, taken, read, trans):
             w = weights[row]
             w[:] = map(clip, map(plus if t else minus, w, sign_tuples[key]))
             memo.clear()
+        k += 1
+    return mis
+
+
+def _perceptron_uniform(kernel, rows, keys, sign_tuples, takens):
+    """:func:`_replay_perceptron` where every event reads and trains."""
+    weights = kernel.weights
+    threshold = kernel.threshold
+    clip = kernel.clip.__getitem__
+    mul = operator.mul
+    plus = operator.add
+    minus = operator.sub
+    memos = defaultdict(dict)
+    mis = []
+    add = mis.append
+    k = 0
+    for row, key, t in zip(rows, keys, takens):
+        memo = memos[row]
+        output = memo.get(key)
+        if output is None:
+            output = memo[key] = sum(
+                map(mul, weights[row], sign_tuples[key])
+            )
+        if t:
+            if output < 0:
+                add(k)
+            if output <= threshold:
+                w = weights[row]
+                w[:] = map(clip, map(plus, w, sign_tuples[key]))
+                memo.clear()
+        else:
+            if output >= 0:
+                add(k)
+            if output >= -threshold:
+                w = weights[row]
+                w[:] = map(clip, map(minus, w, sign_tuples[key]))
+                memo.clear()
         k += 1
     return mis
 

@@ -152,6 +152,38 @@ def test_cores_match_oracle(workload, hyperblocks):
                 assert counters == expected, where
 
 
+@pytest.mark.parametrize("oname", ["plain", "sfp+pgu", "delayed"])
+def test_serve_perceptron_matches_oracle(oname):
+    """crc on ``repro serve``'s default ``perceptron-4096``: every core
+    matches the oracle, the object predictor and a kernel replaying
+    the plan end with the oracle's weights (read through ``state()``),
+    and rows exist only where the stream indexed them."""
+    trace = get_workload("crc").trace(scale="tiny", hyperblocks=True)
+    options = OPTIONS[oname]
+    oracle = make_predictor("perceptron", entries=4096)
+    ref, _ = oracle_simulate(trace, oracle, options)
+    for core in CORES:
+        predictor = make_predictor("perceptron", entries=4096)
+        got = simulate(trace, predictor, options, core=core)
+        where = f"{oname} on core {core}"
+        assert got.headline_metrics() == ref.headline_metrics(), where
+        assert got.per_class == ref.per_class, where
+        if core == "object":
+            assert predictor.state() == oracle.state(), where
+        else:
+            # A kernel core trains the kernel built from the predictor.
+            assert not predictor.weights, where
+    plan = fastcore.plan_for(trace, options)
+    kernel = fastcore.kernel_from_predictor(
+        make_predictor("perceptron", entries=4096)
+    )
+    fastcore.fast_replay(kernel, plan)
+    assert kernel.state() == oracle.state()
+    indexed = set((plan.pc[plan.ev_branch] & kernel.mask).tolist())
+    assert set(kernel.weights) == indexed
+    assert len(indexed) < 4096
+
+
 class _ListCollector(EventCollector):
     """Keeps every event it receives."""
 

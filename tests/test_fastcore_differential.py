@@ -170,7 +170,7 @@ def _object_state(predictor):
             "b": {"table": list(predictor.b.counters.table)},
         }
     if isinstance(predictor, PerceptronPredictor):
-        return {"weights": [list(row) for row in predictor.weights]}
+        return predictor.state()
     return {
         "base": list(predictor.base.table),
         "tags": [list(t.tags) for t in predictor.tables],

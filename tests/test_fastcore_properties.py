@@ -6,6 +6,7 @@ match at every step — and checks that kernel state survives a pickle
 round trip mid-stream (warm tables keep predicting identically).
 """
 
+import copy
 import pickle
 
 import pytest
@@ -21,6 +22,7 @@ from repro.predictors import (
     TagePredictor,
     TournamentPredictor,
 )
+from repro.predictors.perceptron import WeightRows
 from repro.sim.fastcore import kernel_from_predictor
 
 pytestmark = pytest.mark.fastcore
@@ -120,6 +122,42 @@ def test_state_roundtrip(label):
     assert fresh.state() == warm.state()
     for pc in range(64):
         assert fresh.predict(pc, history) == warm.predict(pc, history)
+
+
+def _reloaded(kernel):
+    clone = kernel_from_predictor(_wide_perceptron())
+    clone.load_state(kernel.state())
+    return clone
+
+
+def _wide_perceptron():
+    return PerceptronPredictor(entries=4096, history_bits=10, weight_bits=4)
+
+
+@pytest.mark.parametrize("duplicate", [
+    lambda kernel: pickle.loads(pickle.dumps(kernel)),
+    copy.deepcopy,
+    _reloaded,
+], ids=["pickle", "deepcopy", "load_state"])
+def test_perceptron_untouched_rows_round_trip(duplicate):
+    """A perceptron kernel that has touched 2 of its 4096 rows copies
+    exactly; the copy makes an untouched row on first touch, and its
+    rows are its own."""
+    kernel = kernel_from_predictor(_wide_perceptron())
+    for pc, taken in ((3, True), (3, True), (70, False)):
+        kernel.train(pc, 0b1011, taken)
+    assert sorted(kernel.weights) == [3, 70]
+    clone = duplicate(kernel)
+    assert type(clone.weights) is WeightRows
+    assert clone.state() == kernel.state()
+    assert len(clone.state()["weights"]) == 4096
+    clone.train(4000, 5, True)
+    assert 4000 not in kernel.weights
+    assert clone.state() != kernel.state()
+    kernel.train(4000, 5, True)
+    assert clone.state() == kernel.state()
+    for pc in (3, 70, 4000, 4001):
+        assert clone.predict(pc, 0b1011) == kernel.predict(pc, 0b1011)
 
 
 def test_load_state_rejects_wrong_size():

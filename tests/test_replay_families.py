@@ -75,9 +75,10 @@ def test_composed_tournament_matches_loop(stream):
 
 @st.composite
 def perceptron_streams(draw):
-    """A perceptron with random start weights and a stream whose pcs
-    and histories repeat, so outputs are reused between trainings."""
-    entries = draw(st.sampled_from((1, 4, 64)))
+    """A perceptron, fresh (rows made on first touch) or with random
+    start weights, and a stream whose pcs and histories repeat, so
+    outputs are reused between trainings."""
+    entries = draw(st.sampled_from((1, 4, 64, 4096)))
     history_bits = draw(st.sampled_from((0, 1, 5, 12)))
     limit = draw(st.sampled_from((1, 2, 3, 127)))
     threshold = draw(st.sampled_from((0, 1, 5, 37)))
@@ -113,7 +114,8 @@ def test_memoized_perceptron_matches_loop(stream):
     expected = replay_perceptron(oracle, pc, ghr, taken, read, trans)
     got = _replay_perceptron(kernel, pc, ghr, taken, read, trans)
     assert got == expected
-    assert kernel.weights == oracle.weights
+    assert kernel.state() == oracle.state()
+    assert sorted(kernel.weights) == sorted(oracle.weights)
 
 
 def test_perceptron_rejects_negative_threshold():

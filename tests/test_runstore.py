@@ -72,6 +72,34 @@ class TestRecord:
         clone = RunRecord.from_dict(record.to_dict())
         assert clone.to_dict() == record.to_dict()
 
+    def test_version_looked_up_once_per_process(self, monkeypatch):
+        """Sealing stamps the same version as before, and the package
+        metadata is searched once however many records are sealed."""
+        import importlib.metadata
+
+        from repro import repro_version
+
+        expected = repro_version.__wrapped__()
+        lookup = importlib.metadata.version
+        calls = []
+
+        def counting(name):
+            calls.append(name)
+            return lookup(name)
+
+        monkeypatch.setattr(importlib.metadata, "version", counting)
+        repro_version.cache_clear()
+        try:
+            versions = [
+                make_record({"E2.crc.mpki": float(i)}).version
+                for i in range(3)
+            ]
+            assert repro_version() == expected
+        finally:
+            repro_version.cache_clear()
+        assert versions == [expected] * 3
+        assert calls == ["repro"]
+
     def test_from_dict_rejects_unknown_schema(self):
         document = make_record({}).to_dict()
         document["schema"] = 99

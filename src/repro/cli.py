@@ -62,23 +62,31 @@ def _metrics_scope(args):
     and, last, a ``metrics`` snapshot of the merged registry.  The
     stream opens with a ``header`` event carrying the harness version
     and the invoked subcommand.  With ``--trace PATH`` tracing is
-    switched on for the invocation and the collected span records are
+    switched on for the invocation, which becomes one trace rooted at a
+    span named for the subcommand, and the collected span records are
     written to PATH as JSONL on exit (see ``repro trace show``).
+    ``serve --trace`` is a flag, not a path: the daemon traces its own
+    requests.
     """
     path = getattr(args, "metrics", None)
     trace_path = getattr(args, "trace", None)
+    if not isinstance(trace_path, str):
+        trace_path = None
+    command = getattr(args, "command", "")
     registry = telemetry.MetricsRegistry()
     with ExitStack() as stack:
         stack.enter_context(telemetry.use_registry(registry))
-        spans_out = None
         if trace_path:
-            # --trace: the whole invocation becomes one trace rooted at
-            # the first span opened (e.g. `sweep` or `sim.driver`);
-            # workers ship their spans back and everything lands in one
-            # mergeable JSONL file for `repro trace show`.
+            # --trace: every span of the invocation (trace build, cache
+            # publish, sweep, simulation; workers ship theirs back)
+            # hangs under one trace-only root, so the registry's span.*
+            # paths do not change.  The file is written last, after the
+            # root has closed and recorded itself.
             spans_out = telemetry.SpanCollector()
+            stack.callback(spans_out.write_jsonl, trace_path)
             stack.enter_context(telemetry.use_tracing(True))
             stack.enter_context(telemetry.use_collector(spans_out))
+            stack.enter_context(telemetry.trace_span(command))
         sink = None
         if path:
             sink = stack.enter_context(telemetry.JsonlSink(path))
@@ -87,15 +95,13 @@ def _metrics_scope(args):
                 "event": "header",
                 "schema": 1,
                 "version": repro_version(),
-                "command": getattr(args, "command", ""),
+                "command": command,
             })
         try:
             yield registry
         finally:
             if sink is not None:
                 sink.emit({"event": "metrics", **registry.snapshot()})
-            if spans_out is not None:
-                spans_out.write_jsonl(trace_path)
     if path:
         print(f"metrics written to {path}", file=sys.stderr)
     if trace_path:

@@ -123,8 +123,8 @@ def kernel_replay(predictor, plan: ReplayPlan, core: str):
     """Replay ``plan`` on ``predictor``'s flat kernel.
 
     Returns ``(used, mis)``: the core that ran (``numpy`` runs the
-    batched backend when the kernel supports it and the scalar fast
-    loop otherwise) and the mispredicted branch indices.  The replay
+    batched backend on table kernels and the fast loops otherwise) and
+    the mispredicted branch indices.  The replay
     runs in a ``fastcore.replay`` trace span, which is trace-only: the
     registry's counter set is the same with tracing on or off.
     """

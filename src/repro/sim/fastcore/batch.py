@@ -34,6 +34,7 @@ suite checks it against the object core anyway.
 
 import numpy as np
 
+from repro.sim.fastcore.kernels import TableKernel
 from repro.sim.fastcore.replay import settle_runs, split_runs, start_values
 
 # -- the function monoid of a 2-bit saturating counter ------------------------
@@ -100,7 +101,8 @@ _COMP, _SETTLE, _RUN = _tables()
 
 
 def batch_supported(kernel) -> bool:
-    return bool(getattr(kernel, "batchable", False))
+    """Does the numpy backend replay ``kernel``?  Table kernels only."""
+    return isinstance(kernel, TableKernel)
 
 
 def batch_replay(kernel, plan) -> np.ndarray:

@@ -1,29 +1,29 @@
-"""Flat predictor kernels: ints in, ints out, raw list tables.
+"""Flat predictor kernels: tables plus vectorised indices.
 
 A kernel is the allocation-free counterpart of one
 :class:`~repro.predictors.base.BranchPredictor`: its state is plain
 Python lists of small ints (picklable, pokeable, trivially diffable;
 the perceptron's rows sit in a dict that makes each on first touch),
-and its scalar ABI works entirely on integers:
+and its methods compute, with numpy, the index every event of a replay
+reads.  It has no per-event ``predict``/``train``: the rules that read
+and update the tables live once, in the replay loops and the numpy
+scan (:mod:`repro.sim.fastcore.replay`, :mod:`repro.sim.fastcore.batch`),
+with the object predictors as the readable reference.
 
-* ``predict(pc, ghist) -> (pred, idx)`` — predicted direction (0/1) and
-  the state index the prediction read.
-* ``train(pc, ghist, taken) -> idx`` — full update path: recompute the
-  index from the *stored* predict-time history (exactly what the
-  object core passes to ``BranchPredictor.update``), apply the
-  saturating-counter transition plus any kernel side effects (the local
-  kernel shifts its private history here), and return the index touched.
+* Table kernels (bimodal, gshare, gselect, GAg) map ``(pc, ghr)``
+  arrays to 2-bit counter indices (:meth:`TableKernel.batch_index`).
+* The local kernel computes its pattern indices from the outcome
+  stream (:meth:`LocalKernel.event_indices`).
+* The composite kernels (tournament, perceptron, TAGE) expose the
+  per-event indices their replay loops read (``batch_chooser_index``,
+  ``batch_signs``, ``batch_slots``).
+* Every kernel has ``state()``/``load_state()``: an exact, picklable
+  snapshot of its tables.
 
-Table-indexed kernels additionally expose ``batch_index(pc, ghr)``
-(vectorised index computation over numpy arrays), which is what both the
-run-grouped fast replay and the numpy backend consume.  The local
-kernel computes its pattern indices from the outcome stream instead
-(:meth:`LocalKernel.event_indices`), and the composite kernels
-(tournament, perceptron, TAGE) expose their own vectorised per-event
-indices for their replay loops.  The squash
-false-path filter and predicate global update are *not* kernels: they
-act on the history stream and the squash mask, which the pre-decode pass
-in :mod:`repro.sim.fastcore.decode` materialises before any kernel runs.
+The squash false-path filter and predicate global update are *not*
+kernels: they act on the history stream and the squash mask, which the
+pre-decode pass in :mod:`repro.sim.fastcore.decode` materialises before
+any kernel runs.
 
 Building a kernel from a predictor copies its *configuration*, not its
 trained state: fresh tables initialised exactly as the object
@@ -31,15 +31,13 @@ constructors initialise theirs (e.g. 2-bit counters at weakly-not-taken
 1), matching how sweeps hand every grid point a fresh predictor.
 """
 
-import operator
-
 import numpy as np
 
 from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.gshare import GSharePredictor
 from repro.predictors.gselect import GSelectPredictor
 from repro.predictors.perceptron import PerceptronPredictor, WeightRows
-from repro.predictors.tage import TagePredictor, _fold
+from repro.predictors.tage import TagePredictor
 from repro.predictors.tournament import TournamentPredictor
 from repro.predictors.twolevel import GAgPredictor, LocalPredictor
 from repro.sim.fastcore.decode import bit_windows
@@ -88,10 +86,9 @@ def _low_bits(ghr: np.ndarray, mask: int) -> np.ndarray:
 
 
 class TableKernel:
-    """Shared shape of the four purely table-indexed kernels."""
-
-    #: numpy backend eligibility (the local kernel opts out)
-    batchable = True
+    """Shared shape of the four purely table-indexed kernels: 2-bit
+    counters at ``batch_index(pc, ghr)``, the only kernels the numpy
+    backend replays."""
 
     def __init__(self, entries: int, name: str):
         if entries <= 0 or entries & (entries - 1):
@@ -100,31 +97,9 @@ class TableKernel:
         self.mask = entries - 1
         self.name = name
 
-    # -- scalar ABI ----------------------------------------------------------
-
-    def index(self, pc: int, ghist: int) -> int:
-        raise NotImplementedError
-
-    def predict(self, pc: int, ghist: int):
-        idx = self.index(pc, ghist)
-        return (1 if self.table[idx] >= 2 else 0, idx)
-
-    def train(self, pc: int, ghist: int, taken: int) -> int:
-        idx = self.index(pc, ghist)
-        value = self.table[idx]
-        if taken:
-            if value < 3:
-                self.table[idx] = value + 1
-        elif value > 0:
-            self.table[idx] = value - 1
-        return idx
-
-    # -- vectorised index ----------------------------------------------------
-
     def batch_index(self, pc: np.ndarray, ghr: np.ndarray) -> np.ndarray:
+        """Per-event table index of ``pc`` (int64) and ``ghr`` (uint64)."""
         raise NotImplementedError
-
-    # -- state ---------------------------------------------------------------
 
     def state(self) -> dict:
         return {"table": list(self.table)}
@@ -140,9 +115,6 @@ class BimodalKernel(TableKernel):
     def __init__(self, entries: int):
         super().__init__(entries, f"bimodal-{entries}")
 
-    def index(self, pc: int, ghist: int) -> int:
-        return pc & self.mask
-
     def batch_index(self, pc, ghr):
         return pc & self.mask
 
@@ -151,9 +123,6 @@ class GShareKernel(TableKernel):
     def __init__(self, entries: int, history_bits: int):
         super().__init__(entries, f"gshare-{entries}/h{history_bits}")
         self.history_mask = (1 << history_bits) - 1
-
-    def index(self, pc: int, ghist: int) -> int:
-        return (pc ^ (ghist & self.history_mask)) & self.mask
 
     def batch_index(self, pc, ghr):
         idx = _low_bits(ghr, self.history_mask & self.mask)
@@ -169,12 +138,6 @@ class GSelectKernel(TableKernel):
         self.history_mask = (1 << history_bits) - 1
         self.pc_mask = (1 << pc_bits) - 1
 
-    def index(self, pc: int, ghist: int) -> int:
-        return (
-            ((pc & self.pc_mask) << self.history_bits)
-            | (ghist & self.history_mask)
-        ) & self.mask
-
     def batch_index(self, pc, ghr):
         idx = pc & self.pc_mask
         idx <<= self.history_bits
@@ -187,9 +150,6 @@ class GAgKernel(TableKernel):
     def __init__(self, entries: int):
         super().__init__(entries, f"gag-{entries}")
 
-    def index(self, pc: int, ghist: int) -> int:
-        return ghist & self.mask
-
     def batch_index(self, pc, ghr):
         return _low_bits(ghr, self.mask)
 
@@ -201,11 +161,9 @@ class LocalKernel:
     outcome at every train event.  That history never depends on a
     prediction, so :meth:`event_indices` computes every event's index
     with numpy up front, and replay then walks the pattern table like
-    any other table kernel.  The kernel still opts out of the numpy
-    backend, whose ``batch_index`` contract takes no outcomes.
+    any other table kernel.  It is not a :class:`TableKernel`: the
+    numpy backend's ``batch_index`` takes no outcomes.
     """
-
-    batchable = False
 
     def __init__(self, entries: int, local_entries: int,
                  history_bits: int):
@@ -216,26 +174,6 @@ class LocalKernel:
         self.history_bits = history_bits
         self.history_mask = (1 << history_bits) - 1
         self.name = f"local-{entries}/l{local_entries}x{history_bits}"
-
-    def index(self, pc: int, ghist: int) -> int:
-        return self.histories[pc & self.local_mask] & self.history_mask
-
-    def predict(self, pc: int, ghist: int):
-        idx = self.index(pc, ghist)
-        return (1 if self.table[idx & self.mask] >= 2 else 0, idx)
-
-    def train(self, pc: int, ghist: int, taken: int) -> int:
-        slot = pc & self.local_mask
-        local = self.histories[slot] & self.history_mask
-        idx = local & self.mask
-        value = self.table[idx]
-        if taken:
-            if value < 3:
-                self.table[idx] = value + 1
-        elif value > 0:
-            self.table[idx] = value - 1
-        self.histories[slot] = (local << 1) | (1 if taken else 0)
-        return idx
 
     def event_indices(self, pc: np.ndarray, taken: np.ndarray,
                       trans: np.ndarray) -> np.ndarray:
@@ -340,7 +278,8 @@ def _check_size(table: list, expected: int, what: str) -> list:
 
 
 class TournamentKernel:
-    """Chooser of 2-bit counters picking between two component kernels.
+    """Chooser of 2-bit counters picking between two component kernels,
+    each a table or local kernel.
 
     The chooser reads ``(pc ^ ghist) & mask``, a pure function of the
     event stream, so replay precomputes it; the components keep their
@@ -354,8 +293,6 @@ class TournamentKernel:
     (:func:`~repro.sim.fastcore.replay.replay_tournament_runs`).
     """
 
-    batchable = False
-
     def __init__(self, entries: int, a, b):
         if entries <= 0 or entries & (entries - 1):
             raise ValueError("entries must be a positive power of two")
@@ -364,26 +301,6 @@ class TournamentKernel:
         self.a = a
         self.b = b
         self.name = f"tournament-{entries}({a.name}|{b.name})"
-
-    def predict(self, pc: int, ghist: int):
-        idx = (pc ^ ghist) & self.mask
-        component = self.b if self.chooser[idx] >= 2 else self.a
-        return (component.predict(pc, ghist)[0], idx)
-
-    def train(self, pc: int, ghist: int, taken: int) -> int:
-        idx = (pc ^ ghist) & self.mask
-        pred_a = self.a.predict(pc, ghist)[0]
-        pred_b = self.b.predict(pc, ghist)[0]
-        if pred_a != pred_b:
-            value = self.chooser[idx]
-            if pred_b == bool(taken):
-                if value < 3:
-                    self.chooser[idx] = value + 1
-            elif value > 0:
-                self.chooser[idx] = value - 1
-        self.a.train(pc, ghist, taken)
-        self.b.train(pc, ghist, taken)
-        return idx
 
     def batch_chooser_index(self, pc, ghr):
         return (
@@ -424,8 +341,6 @@ class PerceptronKernel:
     costs the same at every table size.
     """
 
-    batchable = False
-
     def __init__(self, entries: int, history_bits: int,
                  weight_limit: int, threshold: int):
         if entries <= 0 or entries & (entries - 1):
@@ -440,29 +355,6 @@ class PerceptronKernel:
         self.threshold = threshold
         self.clip = _clip_table(weight_limit)
         self.name = f"perceptron-{entries}x{history_bits}"
-
-    def signs(self, ghist: int) -> tuple:
-        return (1,) + tuple(
-            1 if (ghist >> bit) & 1 else -1
-            for bit in range(self.history_bits)
-        )
-
-    def predict(self, pc: int, ghist: int):
-        row = pc & self.mask
-        output = sum(map(operator.mul, self.weights[row],
-                         self.signs(ghist)))
-        return (1 if output >= 0 else 0, row)
-
-    def train(self, pc: int, ghist: int, taken: int) -> int:
-        row = pc & self.mask
-        weights = self.weights[row]
-        signs = self.signs(ghist)
-        output = sum(map(operator.mul, weights, signs))
-        if (output >= 0) == bool(taken) and abs(output) > self.threshold:
-            return row
-        step = operator.add if taken else operator.sub
-        weights[:] = map(self.clip.__getitem__, map(step, weights, signs))
-        return row
 
     def batch_signs(self, ghr):
         """(per-event key, sign tuple per key): one shared tuple per
@@ -515,8 +407,6 @@ class TageKernel:
     toward the global useful-counter aging every ``aging_period``.
     """
 
-    batchable = False
-
     def __init__(self, base_entries: int, table_entries: int,
                  history_lengths, tag_bits: int, aging_period: int):
         if base_entries <= 0 or base_entries & (base_entries - 1):
@@ -536,93 +426,6 @@ class TageKernel:
             f"tage-{count}x{table_entries}"
             f"(h{history_lengths[0]}..{history_lengths[-1]})"
         )
-
-    def slots(self, pc: int, ghist: int):
-        """(slot, tag) per tagged table, shortest history first."""
-        index_bits = self.mask.bit_length()
-        tag_mask = (1 << self.tag_bits) - 1
-        found = []
-        for length in self.history_lengths:
-            history = ghist & ((1 << length) - 1)
-            slot = (
-                pc ^ _fold(history, index_bits) ^ (pc >> 3)
-            ) & self.mask
-            tag = (
-                pc ^ (_fold(history, self.tag_bits) << 1) ^ (pc >> 5)
-            ) & tag_mask
-            found.append((slot, tag))
-        return found
-
-    def _find(self, slots):
-        """(provider, provider slot, alt, alt slot); -1 for a miss."""
-        provider = alt = -1
-        pslot = aslot = 0
-        for table in range(len(slots) - 1, -1, -1):
-            slot, tag = slots[table]
-            if self.tags[table][slot] == tag:
-                if provider < 0:
-                    provider, pslot = table, slot
-                else:
-                    alt, aslot = table, slot
-                    break
-        return provider, pslot, alt, aslot
-
-    def predict(self, pc: int, ghist: int):
-        provider, pslot, _, _ = self._find(self.slots(pc, ghist))
-        if provider >= 0:
-            return (1 if self.counters[provider][pslot] >= 4 else 0, pslot)
-        slot = pc & self.base_mask
-        return (1 if self.base[slot] >= 2 else 0, slot)
-
-    def train(self, pc: int, ghist: int, taken: int) -> int:
-        taken = bool(taken)
-        slots = self.slots(pc, ghist)
-        provider, pslot, alt, aslot = self._find(slots)
-        base_slot = pc & self.base_mask
-        if provider >= 0:
-            counters = self.counters[provider]
-            value = counters[pslot]
-            prediction = value >= 4
-            if alt >= 0:
-                alt_prediction = self.counters[alt][aslot] >= 4
-            else:
-                alt_prediction = self.base[base_slot] >= 2
-            if prediction != alt_prediction:
-                useful = self.useful[provider]
-                if prediction == taken:
-                    if useful[pslot] < 3:
-                        useful[pslot] += 1
-                elif useful[pslot] > 0:
-                    useful[pslot] -= 1
-            if taken and value < 7:
-                counters[pslot] = value + 1
-            elif not taken and value > 0:
-                counters[pslot] = value - 1
-        else:
-            value = self.base[base_slot]
-            prediction = value >= 2
-            if taken and value < 3:
-                self.base[base_slot] = value + 1
-            elif not taken and value > 0:
-                self.base[base_slot] = value - 1
-        if prediction == taken:
-            return pslot
-        candidates = range(provider + 1, len(slots))
-        for table in candidates:
-            slot, tag = slots[table]
-            if self.useful[table][slot] == 0:
-                self.tags[table][slot] = tag
-                self.counters[table][slot] = 4 if taken else 3
-                break
-        else:
-            for table in candidates:
-                slot = slots[table][0]
-                if self.useful[table][slot] > 0:
-                    self.useful[table][slot] -= 1
-        self.ticks += 1
-        if self.ticks >= self.aging_period:
-            self.age()
-        return pslot
 
     def age(self) -> None:
         """Global aging: decay every useful counter, restart the count."""
@@ -719,6 +522,17 @@ def _from_tage(p: TagePredictor) -> TageKernel:
     )
 
 
+#: Predictor classes whose kernels are indexed per event without
+#: reading any other state: a table kernel or the local kernel.  Only
+#: these can be a tournament's components.
+_TOURNAMENT_COMPONENTS = (
+    BimodalPredictor,
+    GSharePredictor,
+    GSelectPredictor,
+    GAgPredictor,
+    LocalPredictor,
+)
+
 #: predictor class -> kernel builder.  Exact classes only: a subclass
 #: may override behaviour the kernel does not model, so it falls back to
 #: the object core instead of silently diverging.
@@ -735,21 +549,24 @@ KERNEL_BUILDERS = {
 
 
 def kernelizable(predictor) -> bool:
-    """Does a flat kernel model this predictor exactly?"""
-    if type(predictor) not in KERNEL_BUILDERS:
-        return False
+    """Does a flat kernel model this predictor exactly?
+
+    A tournament does when both its components are table or local
+    predictors; one over a tournament, perceptron or TAGE runs on the
+    object core.
+    """
     if type(predictor) is TournamentPredictor:
-        return kernelizable(predictor.a) and kernelizable(predictor.b)
-    return True
+        return (type(predictor.a) in _TOURNAMENT_COMPONENTS
+                and type(predictor.b) in _TOURNAMENT_COMPONENTS)
+    return type(predictor) in KERNEL_BUILDERS
 
 
 def kernel_from_predictor(predictor):
     """A fresh kernel mirroring ``predictor``'s configuration."""
-    builder = KERNEL_BUILDERS.get(type(predictor))
-    if builder is None:
+    if not kernelizable(predictor):
         raise KernelError(
             f"no flat kernel for {type(predictor).__name__} "
             f"({getattr(predictor, 'name', '?')}); the object core is "
             "the only path for this predictor"
         )
-    return builder(predictor)
+    return KERNEL_BUILDERS[type(predictor)](predictor)

@@ -22,19 +22,18 @@ table) replay their 2-bit counters one *run* at a time:
   read / transition flags (squash train-PHT events are
   transition-only; delayed-update mode splits reads from their
   transitions, so runs stay short there).
-* :func:`_replay_generic` drives any kernel through the scalar ABI
-  (``predict``/``train``); the fallback for kernels without a
-  vectorised index.
 
 The local kernel's indices come from
 :meth:`~repro.sim.fastcore.kernels.LocalKernel.event_indices`: its
 histories shift in actual outcomes only, so they never depend on a
 prediction.
 
-A tournament over a local and a table kernel replays a ``uniform``
-plan as three run replays (:func:`replay_tournament_runs`): each
-component on its own, then the chooser over the events where the
-components disagree, the only ones where it reads or trains.
+A tournament's components are table or local kernels (a tournament
+over any other predictor runs on the object core), so their indices
+are per-event arrays too.  It replays a ``uniform`` plan as three run
+replays (:func:`replay_tournament_runs`): each component on its own,
+then the chooser over the events where the components disagree, the
+only ones where it reads or trains.
 
 The other composite cases each have their own loop, fed per-event
 indices computed with numpy from the plan's ``pc`` and ``ghr`` arrays
@@ -42,7 +41,7 @@ indices computed with numpy from the plan's ``pc`` and ``ghr`` arrays
 TAGE slots and tags); only their serial table state stays in Python:
 
 * :func:`_replay_tournament` — tournaments on plans with read /
-  transition flags, and (through the scalar ABI) over other components;
+  transition flags;
 * :func:`_replay_perceptron` — memoizes each touched row's outputs by
   history value until that row next trains, without per-event flag
   lookups where every event reads and trains;
@@ -79,7 +78,6 @@ from repro.sim.fastcore.decode import ReplayPlan
 from repro.sim.fastcore.kernels import (
     LocalKernel,
     PerceptronKernel,
-    TableKernel,
     TageKernel,
     TournamentKernel,
     _low_bits,
@@ -256,24 +254,13 @@ def _replay_table_flags(table, idxs, takens, reads, transs):
     return mis
 
 
-def _replay_generic(kernel, pcs, ghrs, takens, reads, transs):
-    predict = kernel.predict
-    train = kernel.train
-    mis = []
-    add = mis.append
-    k = 0
-    for pc, t in zip(pcs, takens):
-        if reads[k] and predict(pc, ghrs[k])[0] != t:
-            add(k)
-        if transs[k]:
-            train(pc, ghrs[k], t)
-        k += 1
-    return mis
-
-
-def _local_and_table(kernel: TournamentKernel) -> bool:
-    """Are the tournament's components a local and a table kernel?"""
-    return type(kernel.a) is LocalKernel and isinstance(kernel.b, TableKernel)
+def _indices(kernel, pc: np.ndarray, ghr: np.ndarray, taken: np.ndarray,
+             trans: np.ndarray) -> np.ndarray:
+    """Per-event table index of a local kernel (which advances its
+    histories) or a table kernel."""
+    if isinstance(kernel, LocalKernel):
+        return kernel.event_indices(pc, taken, trans)
+    return kernel.batch_index(pc, ghr)
 
 
 def _wrong(mis: np.ndarray, count: int) -> np.ndarray:
@@ -286,8 +273,8 @@ def _wrong(mis: np.ndarray, count: int) -> np.ndarray:
 def replay_tournament_runs(kernel: TournamentKernel, pc: np.ndarray,
                            ghr: np.ndarray, taken: np.ndarray,
                            trans: np.ndarray) -> np.ndarray:
-    """Replay a uniform stream through a (local, table kernel)
-    tournament as three run replays.
+    """Replay a uniform stream through a tournament as three run
+    replays.
 
     Neither component's prediction depends on the chooser, so each
     component's table replays on its own (:func:`replay_runs`) and
@@ -302,13 +289,12 @@ def replay_tournament_runs(kernel: TournamentKernel, pc: np.ndarray,
     count = int(taken.shape[0])
     a = kernel.a
     b = kernel.b
-    wrong_a = _wrong(
-        replay_runs(a.table, a.event_indices(pc, taken, trans), taken),
-        count,
-    )
-    wrong_b = _wrong(
-        replay_runs(b.table, b.batch_index(pc, ghr), taken), count
-    )
+    wrong_a = _wrong(replay_runs(
+        a.table, _indices(a, pc, ghr, taken, trans), taken
+    ), count)
+    wrong_b = _wrong(replay_runs(
+        b.table, _indices(b, pc, ghr, taken, trans), taken
+    ), count)
     split = np.flatnonzero(wrong_a != wrong_b)
     picked_wrong = replay_runs(
         kernel.chooser,
@@ -326,13 +312,9 @@ def _replay_tournament(kernel, pc, ghr, taken, read, trans):
     takens = taken.tolist()
     reads = read.tolist()
     transs = trans.tolist()
-    if not _local_and_table(kernel):
-        return _replay_generic(
-            kernel, pc.tolist(), ghr.tolist(), takens, reads, transs
-        )
     cidxs = kernel.batch_chooser_index(pc, ghr).tolist()
-    aidxs = a.event_indices(pc, taken, trans).tolist()
-    bidxs = b.batch_index(pc, ghr).tolist()
+    aidxs = _indices(a, pc, ghr, taken, trans).tolist()
+    bidxs = _indices(b, pc, ghr, taken, trans).tolist()
     chooser = kernel.chooser
     atable = a.table
     btable = b.table
@@ -576,8 +558,7 @@ def fast_replay(kernel, plan: ReplayPlan) -> np.ndarray:
     predictor's trained state event for event).
     """
     ev_branch = plan.ev_branch
-    if (plan.uniform and type(kernel) is TournamentKernel
-            and _local_and_table(kernel)):
+    if plan.uniform and type(kernel) is TournamentKernel:
         return ev_branch[replay_tournament_runs(
             kernel, plan.per_event(plan.pc), plan.per_event(plan.ghr),
             plan.per_event(plan.taken), plan.ev_trans,
@@ -585,18 +566,11 @@ def fast_replay(kernel, plan: ReplayPlan) -> np.ndarray:
     loop = _COMPOSITE_LOOPS.get(type(kernel))
     if loop is not None:
         return ev_branch[_replay_chunked(loop, kernel, plan)]
-    pc = plan.per_event(plan.pc)
     taken = plan.per_event(plan.taken)
-    if isinstance(kernel, LocalKernel):
-        idx = kernel.event_indices(pc, taken, plan.ev_trans)
-    elif getattr(kernel, "batchable", False):
-        idx = kernel.batch_index(pc, plan.per_event(plan.ghr))
-    else:
-        mis = _replay_generic(
-            kernel, pc.tolist(), plan.per_event(plan.ghr).tolist(),
-            taken.tolist(), plan.ev_read.tolist(), plan.ev_trans.tolist(),
-        )
-        return ev_branch[np.asarray(mis, dtype=np.int64)]
+    idx = _indices(
+        kernel, plan.per_event(plan.pc), plan.per_event(plan.ghr), taken,
+        plan.ev_trans,
+    )
     if plan.uniform:
         return ev_branch[replay_runs(kernel.table, idx, taken)]
     mis = _replay_table_flags(

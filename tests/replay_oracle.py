@@ -20,6 +20,11 @@ of the replay benchmark gates (``benchmarks/test_bench_replay.py``,
 
 Every replay loop returns the *event positions* that mispredicted,
 ascending.
+
+Two helpers let the kernel tests use the object predictors as their
+reference: :func:`make_plan` builds a replay plan from explicit event
+arrays, and :func:`object_state` reads an object predictor's tables in
+the shape of its kernel's ``state()``.
 """
 
 import operator
@@ -27,8 +32,71 @@ import operator
 import numpy as np
 
 from repro.pipeline.fetchsim import FrontendResult
+from repro.predictors import (
+    LocalPredictor,
+    PerceptronPredictor,
+    TagePredictor,
+    TournamentPredictor,
+)
+from repro.sim import SimOptions
+from repro.sim.fastcore.decode import ReplayPlan
 from repro.sim.fastcore.kernels import LocalKernel
 from repro.sim.fastcore.replay import _replay_chunked
+
+
+def make_plan(pc, taken, read=None, trans=None, ghr=None):
+    """A replay plan whose events are the given branches, in order."""
+    n = len(pc)
+    read = np.ones(n, np.uint8) if read is None else np.asarray(
+        read, dtype=np.uint8
+    )
+    trans = np.ones(n, np.uint8) if trans is None else np.asarray(
+        trans, dtype=np.uint8
+    )
+    return ReplayPlan(
+        options=SimOptions(),
+        workload="stream",
+        instructions=n,
+        n=n,
+        pc=np.asarray(pc, dtype=np.int64).reshape(n),
+        taken=np.asarray(taken, dtype=np.uint8).reshape(n),
+        ghr=(
+            np.zeros(n, dtype=np.uint64) if ghr is None
+            else np.asarray(ghr, dtype=np.uint64)
+        ),
+        cls=np.zeros(n, dtype=np.int8),
+        squash=None,
+        ev_branch=np.arange(n, dtype=np.int64),
+        ev_read=read,
+        ev_trans=trans,
+        uniform=bool(read.all() and trans.all()),
+        applied_updates=0,
+    )
+
+
+def object_state(predictor) -> dict:
+    """An object predictor's trained state, shaped like its kernel's
+    ``state()``."""
+    if isinstance(predictor, TournamentPredictor):
+        return {
+            "chooser": list(predictor.chooser.table),
+            "a": object_state(predictor.a),
+            "b": object_state(predictor.b),
+        }
+    if isinstance(predictor, PerceptronPredictor):
+        return predictor.state()
+    if isinstance(predictor, TagePredictor):
+        return {
+            "base": list(predictor.base.table),
+            "tags": [list(t.tags) for t in predictor.tables],
+            "counters": [list(t.counters) for t in predictor.tables],
+            "useful": [list(t.useful) for t in predictor.tables],
+            "ticks": predictor._ticks,
+        }
+    state = {"table": list(predictor.counters.table)}
+    if isinstance(predictor, LocalPredictor):
+        state["histories"] = list(predictor.histories)
+    return state
 
 
 def replay_table_uniform(table, idxs, takens):

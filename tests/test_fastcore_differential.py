@@ -38,6 +38,7 @@ from repro.trace.container import Trace, TraceMeta
 from repro.workloads import get_workload, workload_names
 from tests.differential_harness import REPLAYS, differential_check
 from tests.driver_oracle import oracle_simulate
+from tests.replay_oracle import object_state
 
 pytestmark = pytest.mark.fastcore
 
@@ -79,6 +80,11 @@ MATRIX_OPTIONS = {
     "sfp+pgu": SimOptions(sfp=SFPConfig(), pgu=PGUConfig()),
 }
 
+#: The families ``tests/test_driver_oracle.py`` does not run; its
+#: matrix covers gshare, local, tournament, perceptron and TAGE under
+#: these options and more.
+MATRIX_PREDICTORS = ("bimodal", "gselect", "gag", "tage-aging")
+
 #: Mechanism-space variants exercised on focused workloads.
 VARIANT_OPTIONS = {
     "sfp-pht": SimOptions(sfp=SFPConfig(update_pht=True)),
@@ -119,12 +125,14 @@ def _assert_identical(ref, got, context):
 )
 @pytest.mark.parametrize("workload", workload_names())
 def test_full_matrix(workload, hyperblocks):
-    """All workloads x both configs x every kernelized predictor."""
+    """All workloads x both configs x plain and SFP+PGU x the kernel
+    families the driver-oracle matrix leaves out, on every core."""
     trace = get_workload(workload).trace(
         scale="tiny", hyperblocks=hyperblocks
     )
     for oname, options in MATRIX_OPTIONS.items():
-        for label, factory in PREDICTORS.items():
+        for label in MATRIX_PREDICTORS:
+            factory = PREDICTORS[label]
             ref, _ = oracle_simulate(trace, factory(), options)
             for core in CORES:
                 got = simulate(trace, factory(), options, core=core)
@@ -146,38 +154,15 @@ def test_option_variants(workload, oname):
         )
         for core in CORES:
             if core == "numpy" and not batchable:
-                # No numpy backend (local histories are serial); the
-                # public knob falls back to the scalar fast loop, which
-                # the "fast" leg of this loop already checks.
+                # No numpy backend (only table kernels have one); the
+                # public knob falls back to the fast loops, which the
+                # "fast" leg of this loop already checks.
                 continue
             report = differential_check(
                 trace, factory, options, core=core
             )
             assert report.matches, report.summary()
             assert report.first_divergence is None
-
-
-def _object_state(predictor):
-    """The object predictor's trained state, shaped like its kernel's
-    :meth:`state`."""
-    if isinstance(predictor, TournamentPredictor):
-        return {
-            "chooser": list(predictor.chooser.table),
-            "a": {
-                "table": list(predictor.a.counters.table),
-                "histories": list(predictor.a.histories),
-            },
-            "b": {"table": list(predictor.b.counters.table)},
-        }
-    if isinstance(predictor, PerceptronPredictor):
-        return predictor.state()
-    return {
-        "base": list(predictor.base.table),
-        "tags": [list(t.tags) for t in predictor.tables],
-        "counters": [list(t.counters) for t in predictor.tables],
-        "useful": [list(t.useful) for t in predictor.tables],
-        "ticks": predictor._ticks,
-    }
 
 
 @pytest.mark.parametrize(
@@ -199,7 +184,7 @@ def test_composite_trained_state_matches_object_predictor(
     # lexer has ~21k events: many chunk boundaries
     monkeypatch.setattr(replay, "CHUNK_EVENTS", 1000)
     fastcore.fast_replay(kernel, fastcore.plan_for(trace, options))
-    assert kernel.state() == _object_state(predictor)
+    assert kernel.state() == object_state(predictor)
     if label == "tage-aging":
         # Mispredicted updates tick toward aging: it ran many times.
         assert result.mispredictions > 10 * predictor.aging_period
@@ -219,23 +204,34 @@ def test_trained_state_matches_object_predictor():
         assert kernel.table == list(predictor.counters.table), core
 
 
+#: Tournaments over component pairs besides the default (local, gshare).
+TOURNAMENTS = {
+    "bimodal+gselect": lambda: TournamentPredictor(
+        256, BimodalPredictor(entries=128),
+        GSelectPredictor(entries=512, history_bits=4),
+    ),
+    "local+local": lambda: TournamentPredictor(
+        256, LocalPredictor(entries=256, local_entries=32, history_bits=8),
+        LocalPredictor(entries=64, local_entries=16, history_bits=5),
+    ),
+    "gshare+bimodal": lambda: TournamentPredictor(
+        256, GSharePredictor(entries=512, history_bits=9),
+        BimodalPredictor(entries=256),
+    ),
+}
+
+
 @pytest.mark.parametrize("oname", ["delayed+sfp+pgu", "sfp-pht", "h64"])
 def test_tournament_of_other_components(oname):
-    """A tournament over components other than (local, table kernel)
-    replays through the scalar ABI, still exactly."""
+    """Tournaments over other table and local components replay
+    exactly, on flagged plans (delayed update, ``update_pht``) and on
+    uniform ones (64-bit history)."""
     trace = get_workload("grep").trace(scale="tiny", hyperblocks=True)
-
-    def factory():
-        return TournamentPredictor(
-            entries=256,
-            component_a=BimodalPredictor(entries=128),
-            component_b=GSelectPredictor(entries=512, history_bits=4),
+    for pair, factory in TOURNAMENTS.items():
+        report = differential_check(
+            trace, factory, VARIANT_OPTIONS[oname], core="fast"
         )
-
-    report = differential_check(
-        trace, factory, VARIANT_OPTIONS[oname], core="fast"
-    )
-    assert report.matches, report.summary()
+        assert report.matches, f"{pair}: {report.summary()}"
 
 
 class TestSeededDivergence:
@@ -480,20 +476,36 @@ def test_empty_trace_all_cores():
 
 
 def test_unsupported_predictor_falls_back_to_object():
+    """A predictor without a kernel — static, or a tournament with a
+    perceptron component — runs on the object core, counts the
+    fallback and matches the oracle."""
     from repro import telemetry
     from repro.predictors import make_predictor
 
     trace = get_workload("crc").trace(scale="tiny", hyperblocks=True)
-    ref = simulate(trace, make_predictor("static"), SimOptions())
-    with telemetry.use_registry(telemetry.MetricsRegistry()) as registry:
-        got = simulate(
-            trace, make_predictor("static"), SimOptions(), core="fast"
-        )
-    assert got.headline_metrics() == ref.headline_metrics()
-    counters = registry.snapshot()["counters"]
-    assert counters["sim.core.object"] == 1
-    assert counters["sim.fallback.predictor"] == 1
-    assert "sim.core.fast" not in counters
+    options = SimOptions(sfp=SFPConfig(), pgu=PGUConfig())
+    factories = {
+        "static": lambda: make_predictor("static"),
+        "tournament(perceptron|gshare)": lambda: TournamentPredictor(
+            entries=256,
+            component_a=PerceptronPredictor(entries=64, history_bits=12),
+            component_b=GSharePredictor(entries=512),
+        ),
+    }
+    for label, factory in factories.items():
+        assert not fastcore.kernelizable(factory()), label
+        with pytest.raises(fastcore.KernelError):
+            fastcore.kernel_from_predictor(factory())
+        ref, _ = oracle_simulate(trace, factory(), options)
+        with telemetry.use_registry(
+            telemetry.MetricsRegistry()
+        ) as registry:
+            got = simulate(trace, factory(), options, core="fast")
+        _assert_identical(ref, got, label)
+        counters = registry.snapshot()["counters"]
+        assert counters["sim.core.object"] == 1, label
+        assert counters["sim.fallback.predictor"] == 1, label
+        assert "sim.core.fast" not in counters, label
 
 
 def test_use_core_context_and_flags():

@@ -1,9 +1,10 @@
-"""The grouped run replay against the per-event oracle.
+"""The grouped run replay against the per-event oracles.
 
 Hypothesis drives random event streams (indices, outcomes, read and
-transition flags) through the replay paths of ``repro.sim.fastcore`` and
-through the per-event loops of ``tests/replay_oracle.py``; mispredict
-positions, final tables and local histories must match exactly.  The
+transition flags) through the replay paths of ``repro.sim.fastcore``, and
+through the object predictors (:func:`object_replay`) or the per-event
+loops of ``tests/replay_oracle.py``; mispredict positions, final tables
+and local histories must match exactly.  The
 streams draw their indices from a small pool, so counters see long
 runs as well as alternating ones, and cover saturated and random start
 tables, tables and history tables beyond 65,536 entries, and local
@@ -17,9 +18,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import SimOptions
-from repro.sim.fastcore import batch_replay, fast_replay
-from repro.sim.fastcore.decode import ReplayPlan
+from repro.predictors import (
+    BimodalPredictor,
+    GSharePredictor,
+    LocalPredictor,
+    TournamentPredictor,
+)
+from repro.sim.fastcore import batch_replay, fast_replay, object_replay
 from repro.sim.fastcore.kernels import (
     BimodalKernel,
     GShareKernel,
@@ -27,42 +32,17 @@ from repro.sim.fastcore.kernels import (
     TournamentKernel,
     group_events,
 )
-from repro.sim.fastcore.replay import _replay_generic, replay_runs
-from tests.replay_oracle import replay_local, replay_table_uniform
+from repro.sim.fastcore.replay import replay_runs
+from tests.replay_oracle import (
+    make_plan,
+    object_state,
+    replay_local,
+    replay_table_uniform,
+)
 
 pytestmark = pytest.mark.fastcore
 
 SIZES = (1, 4, 64, 1 << 17)
-
-
-def make_plan(pc, taken, read=None, trans=None, ghr=None):
-    """A replay plan whose events are the given branches, in order."""
-    n = len(pc)
-    read = np.ones(n, np.uint8) if read is None else np.asarray(
-        read, dtype=np.uint8
-    )
-    trans = np.ones(n, np.uint8) if trans is None else np.asarray(
-        trans, dtype=np.uint8
-    )
-    return ReplayPlan(
-        options=SimOptions(),
-        workload="stream",
-        instructions=n,
-        n=n,
-        pc=np.asarray(pc, dtype=np.int64).reshape(n),
-        taken=np.asarray(taken, dtype=np.uint8).reshape(n),
-        ghr=(
-            np.zeros(n, dtype=np.uint64) if ghr is None
-            else np.asarray(ghr, dtype=np.uint64)
-        ),
-        cls=np.zeros(n, dtype=np.int8),
-        squash=None,
-        ev_branch=np.arange(n, dtype=np.int64),
-        ev_read=read,
-        ev_trans=trans,
-        uniform=bool(read.all() and trans.all()),
-        applied_updates=0,
-    )
 
 
 def start_table(draw, entries):
@@ -129,26 +109,24 @@ def _table_kernel(table):
 @settings(max_examples=150, deadline=None)
 @given(stream=table_streams(flags=True))
 def test_table_kernel_cores_match_per_event_replay(stream):
-    """fast (runs or flags loop) and numpy (run scan) against a
-    per-event walk through the kernel's scalar ABI."""
+    """fast (runs or flags loop) and numpy (run scan) against the object
+    predictor, one event at a time."""
     table, idx, taken, read, trans = stream
     plan = make_plan(idx, taken, read, trans)
-    reference = _table_kernel(table)
-    expected = _replay_generic(
-        reference, idx.tolist(), [0] * len(idx), taken.tolist(),
-        read.tolist(), trans.tolist(),
-    )
+    reference = BimodalPredictor(len(table))
+    reference.counters.table = list(table)
+    expected = object_replay(reference, plan, np.full(plan.n, -1)).tolist()
     if plan.uniform:
         oracle_table = list(table)
         assert replay_table_uniform(
             oracle_table, idx.tolist(), taken.tolist()
         ) == expected
-        assert oracle_table == reference.table
+        assert oracle_table == reference.counters.table
     for replay in (fast_replay, batch_replay):
         kernel = _table_kernel(table)
         got = replay(kernel, plan)
         assert got.tolist() == expected, replay.__name__
-        assert kernel.table == reference.table, replay.__name__
+        assert kernel.table == reference.counters.table, replay.__name__
 
 
 @st.composite
@@ -185,22 +163,32 @@ def test_local_replay_matches_oracle(stream):
     assert kernel.histories == oracle.histories
 
 
+def _object_local(kernel: LocalKernel) -> LocalPredictor:
+    """The object predictor of ``kernel``, with its tables loaded."""
+    predictor = LocalPredictor(
+        kernel.mask + 1, kernel.local_mask + 1, kernel.history_bits
+    )
+    predictor.counters.table = list(kernel.table)
+    predictor.histories = list(kernel.histories)
+    return predictor
+
+
 @settings(max_examples=100, deadline=None)
 @given(stream=local_streams(), seed=st.integers(0, 2**32 - 1))
-def test_tournament_local_indices_match_scalar_abi(stream, seed):
+def test_tournament_local_indices_match_object_predictor(stream, seed):
     local, pc, taken, read, trans = stream
     ghr = np.random.default_rng(seed).integers(
         0, 1 << 16, pc.shape[0]
     ).astype(np.uint64)
     kernel = TournamentKernel(64, local, GShareKernel(256, 8))
-    reference = copy.deepcopy(kernel)
-    expected = _replay_generic(
-        reference, pc.tolist(), ghr.tolist(), taken.tolist(),
-        read.tolist(), trans.tolist(),
+    reference = TournamentPredictor(
+        64, _object_local(local), GSharePredictor(256, history_bits=8)
     )
-    got = fast_replay(kernel, make_plan(pc, taken, read, trans, ghr))
-    assert got.tolist() == expected
-    assert kernel.state() == reference.state()
+    plan = make_plan(pc, taken, read, trans, ghr)
+    expected = object_replay(reference, plan, np.full(plan.n, -1))
+    got = fast_replay(kernel, plan)
+    assert got.tolist() == expected.tolist()
+    assert kernel.state() == object_state(reference)
 
 
 @pytest.mark.parametrize("count", [0, 1])

@@ -19,13 +19,23 @@ The contracts under test:
   miss) and the replay are sibling spans under ``sim.driver``, and
   tracing never changes the registry's counters;
 * rendering — ``repro trace show`` output carries the tree, the
-  critical path and per-span self time.
+  critical path and per-span self time;
+* the CLI — ``--trace PATH`` makes one invocation one trace, rooted at
+  a span named for the subcommand, cold trace builds and pool workers
+  included.
 """
 
+import argparse
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+from repro import cli
 
 from repro.predictors import make_predictor
 from repro.sim import SimOptions, simulate, sweep
@@ -512,3 +522,57 @@ class TestTraceView:
         roots, _children = build_tree(orphaned)
         assert {r["name"] for r in roots} == {"fast", "slow"}
         assert "critical path" in render_trace(orphaned)
+
+
+# ---------------------------------------------------------------------------
+# The CLI's --trace
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+class TestCliTrace:
+    @staticmethod
+    def _spans(tmp_path, *argv):
+        """The span records of one CLI run on an empty trace cache."""
+        path = tmp_path / "spans.jsonl"
+        env = dict(os.environ, REPRO_TRACE_CACHE=str(tmp_path / "cache"),
+                   PYTHONPATH=str(REPO / "src"))
+        subprocess.run(
+            [sys.executable, "-m", "repro.cli", *argv, "--scale", "tiny",
+             "--trace", str(path)],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        records = read_spans(path)
+        assert len({r["trace_id"] for r in records}) == 1
+        ids = {r["span_id"] for r in records}
+        roots = [r["name"] for r in records if r["parent_id"] == ""]
+        assert all(r["parent_id"] in ids for r in records
+                   if r["parent_id"])
+        return records, roots
+
+    def test_cold_simulate_is_one_trace(self, tmp_path):
+        """The trace build, the cache publish and the simulation hang
+        under one ``simulate`` root."""
+        records, roots = self._spans(tmp_path, "simulate", "crc")
+        assert roots == ["simulate"]
+        assert {"trace-build", "cache-publish", "sim.driver"} <= {
+            r["name"] for r in records
+        }
+
+    def test_parallel_run_is_one_trace(self, tmp_path):
+        records, roots = self._spans(
+            tmp_path, "run", "E2", "--workers", "2", "--workloads", "crc"
+        )
+        assert roots == ["run"]
+        assert "sweep-point" in {r["name"] for r in records}
+        assert len({r["pid"] for r in records}) >= 2
+
+    def test_serve_trace_flag_is_not_a_path(self, tmp_path, monkeypatch):
+        """``serve --trace`` is a flag: the invocation scope neither
+        traces nor writes a span file for it."""
+        monkeypatch.chdir(tmp_path)
+        args = argparse.Namespace(command="serve", trace=True, metrics=None)
+        with cli._metrics_scope(args):
+            assert not tracing_enabled()
+        assert list(tmp_path.iterdir()) == []

@@ -8,14 +8,14 @@ Two acceptance gates for the tracing subsystem:
 
 * ``bench_tracing_disabled_overhead_gate`` — with tracing compiled in
   but switched off (the default), instrumented :func:`simulate` must
-  run within 3% of a build that never heard of tracing.  Off-path cost
-  is one flag check per ``trace_span`` entry, so anything above timer
-  noise fails.
+  run within 3% of a build that never heard of tracing.  The per-point
+  ``span`` sites open only while tracing, so the off-path cost is one
+  flag check per site, and anything above timer noise fails.
 * ``bench_tracing_enabled_overhead_gate`` — with tracing fully on
   (collector installed, every ``sim.driver`` span recorded), the same
   workload must stay within 10%.  Spans are per *simulation*, never per
-  branch, so the on-path cost is a couple of hashes and one dict
-  append per sim.
+  branch, so the on-path cost is a couple of hashes, one dict append
+  and one ``span.sim.driver.seconds`` observation per sim.
 
 Both use the interleaved-pair protocol from the telemetry gate: each
 repetition times the two configurations back to back and yields one
@@ -104,8 +104,9 @@ def bench_tracing_disabled_overhead_gate(benchmark):
     """Tracing off (the default) vs tracing off: < 3% — i.e. noise.
 
     Both halves run with tracing disabled; the traced half still goes
-    through every ``trace_span`` call site, so the ratio isolates the
-    cost of the flag checks the instrumentation added to the hot path.
+    through every per-point ``span`` call site, so the ratio isolates
+    the cost of the flag checks the instrumentation added to the hot
+    path.
     """
 
     def traced_pass(trace):

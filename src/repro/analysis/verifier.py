@@ -24,7 +24,7 @@ def lint_executable(
 ) -> LintReport:
     """Run the full rule catalogue over a linked executable."""
     report = LintReport(program=name)
-    with telemetry.span("lint", program=name):
+    with telemetry.span("lint-program", program=name):
         blocks = 0
         slices = function_slices(executable)
         for slice_ in slices:

@@ -58,13 +58,13 @@ def _metrics_scope(args):
 
     A fresh registry is installed either way (so repeated in-process
     invocations don't bleed counters into each other); with
-    ``--metrics PATH`` a JSONL sink additionally captures span events
-    and, last, a ``metrics`` snapshot of the merged registry.  The
-    stream opens with a ``header`` event carrying the harness version
-    and the invoked subcommand.  With ``--trace PATH`` tracing is
-    switched on for the invocation, which becomes one trace rooted at a
-    span named for the subcommand, and the collected span records are
-    written to PATH as JSONL on exit (see ``repro trace show``).
+    ``--metrics PATH`` a JSONL sink writes a ``header`` event carrying
+    the harness version and the invoked subcommand and, last, a
+    ``metrics`` snapshot of the merged registry, span histograms
+    included.  With ``--trace PATH`` tracing is switched on for the
+    invocation, which becomes one trace rooted at a span named for the
+    subcommand, and the collected span records are written to PATH as
+    JSONL on exit (see ``repro trace show``).
     ``serve --trace`` is a flag, not a path: the daemon traces its own
     requests.
     """
@@ -79,14 +79,14 @@ def _metrics_scope(args):
         if trace_path:
             # --trace: every span of the invocation (trace build, cache
             # publish, sweep, simulation; workers ship theirs back)
-            # hangs under one trace-only root, so the registry's span.*
-            # paths do not change.  The file is written last, after the
-            # root has closed and recorded itself.
+            # hangs under one root.  The root closes after the metrics
+            # snapshot, and the file is written last, after the root
+            # has recorded itself.
             spans_out = telemetry.SpanCollector()
             stack.callback(spans_out.write_jsonl, trace_path)
             stack.enter_context(telemetry.use_tracing(True))
             stack.enter_context(telemetry.use_collector(spans_out))
-            stack.enter_context(telemetry.trace_span(command))
+            stack.enter_context(telemetry.span(command))
         sink = None
         if path:
             sink = stack.enter_context(telemetry.JsonlSink(path))
@@ -169,7 +169,8 @@ def _run_one(exp_id: str, args) -> "ExperimentResult":  # noqa: F821
         kwargs["fast"] = args.fast
     if args.workers is not None and "workers" in params:
         kwargs["workers"] = args.workers
-    result = run(**kwargs)
+    with telemetry.span(module.SPEC.id):
+        result = run(**kwargs)
     fmt = args.format
     output = args.output
     if output:
@@ -302,7 +303,7 @@ def _cmd_profile(args) -> int:
     )
     spec = ProfileSpec(rate=args.rate, seed=args.seed)
     with _metrics_scope(args):
-        with telemetry.span("profile", workload=args.workload):
+        with telemetry.span("attribution", workload=args.workload):
             compiled = workload.compile(args.scale, config)
             sites = SiteTable.from_executable(compiled.executable)
             trace = workload.trace(
@@ -462,7 +463,7 @@ def _cmd_analyze(args) -> int:
         config_mod.BASELINE if args.baseline else config_mod.HYPERBLOCK
     )
     with _metrics_scope(args):
-        with telemetry.span("analyze", workload=args.workload):
+        with telemetry.span("analysis", workload=args.workload):
             compiled = workload.compile(args.scale, config)
             executable = compiled.executable
             regions = analyze_regions(executable)

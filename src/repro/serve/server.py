@@ -25,9 +25,11 @@ surface is six JSON routes, not the open web.
 Concurrency model: the event loop owns all bookkeeping (queue, memo
 index, telemetry); simulation runs in ``--workers`` pool processes (or
 an inline thread with ``--workers 0``).  Identical in-flight requests
-coalesce onto one job.  Finished jobs publish their RunRecord with the
-store's ``if_exists="skip"`` path, so even racing daemons sharing one
-store write each result exactly once.
+coalesce onto one job.  A pool whose worker died is broken for good:
+the job that finds it so fails, and the pool is replaced before the
+next one (``serve.pool_restarts``).  Finished jobs publish their
+RunRecord with the store's ``if_exists="skip"`` path, so even racing
+daemons sharing one store write each result exactly once.
 """
 
 import asyncio
@@ -40,6 +42,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -129,6 +132,7 @@ class ServeServer:
         self._trace_store: "OrderedDict[str, List[dict]]" = OrderedDict()
         self._trace_file = None
         self._busy = 0  #: jobs currently occupying pool workers
+        self.pool_restarts = 0  #: broken pools replaced since start
 
     # -- lifecycle --------------------------------------------------------
 
@@ -200,6 +204,13 @@ class ServeServer:
             initargs=(self.core,),
         )
 
+    def _restart_pool(self) -> None:
+        """Replace a pool broken by a dead worker; it never recovers."""
+        self._pool.shutdown(wait=False, cancel_futures=True)
+        self._pool = self._make_pool()
+        self.pool_restarts += 1
+        self._count("serve.pool_restarts")
+
     def _index_store(self) -> None:
         """Prime the memo index from every record already on disk.
 
@@ -252,7 +263,7 @@ class ServeServer:
     # Span ids stay derived (child_context), so the tree is still
     # deterministic given the request's root context.
 
-    def _record_trace_span(self, record: dict) -> None:
+    def _keep_span(self, record: dict) -> None:
         trace_id = record["trace_id"]
         store = self._trace_store
         if trace_id not in store and len(store) >= TRACES_KEPT:
@@ -315,7 +326,7 @@ class ServeServer:
         if ctx is not None:
             # The queue wait is an async phase: its span is recorded
             # here, at dispatch, with the admission wall time as start.
-            self._record_trace_span(tracing.make_record(
+            self._keep_span(tracing.make_record(
                 tracing.child_context(ctx, "serve.queue", 0),
                 "serve.queue", job.enqueued_wall, job.queue_seconds,
                 {"job_id": job.id, "priority": job.controls.priority},
@@ -332,17 +343,18 @@ class ServeServer:
             attrs = {"job_id": job.id, "op": job.spec.op}
             if error:
                 attrs["error"] = error
-            self._record_trace_span(tracing.make_record(
+            self._keep_span(tracing.make_record(
                 exec_ctx, "serve.execute", exec_wall,
                 time.perf_counter() - exec_start, attrs,
             ))
 
         self._busy += 1
         self._gauge("serve.workers_busy", self._busy)
+        pool = self._pool
         try:
             out = await asyncio.wait_for(
                 loop.run_in_executor(
-                    self._pool, execute_job, job.spec.spec, self.core,
+                    pool, execute_job, job.spec.spec, self.core,
                     traceparent,
                 ),
                 timeout=self.config.job_timeout,
@@ -356,6 +368,8 @@ class ServeServer:
             )
             return
         except Exception as exc:  # worker died, pickling, bug...
+            if isinstance(exc, BrokenProcessPool) and pool is self._pool:
+                self._restart_pool()
             record_execute(error=type(exc).__name__)
             self._finish_job(
                 job, error=f"{type(exc).__name__}: {exc}",
@@ -368,7 +382,7 @@ class ServeServer:
         record_execute()
         if exec_ctx is not None and out.get("spans") is not None:
             for span_record in out["spans"].records:
-                self._record_trace_span(span_record)
+                self._keep_span(span_record)
         if job.state == jobqueue.CANCELLED:
             return  # result discarded; record intentionally unpublished
         record = self._publish(job.spec, out)
@@ -448,7 +462,7 @@ class ServeServer:
             )
         finally:
             seconds = time.perf_counter() - start
-            self._record_trace_span(tracing.make_record(
+            self._keep_span(tracing.make_record(
                 ctx, "serve.request", wall, seconds,
                 {"op": op, "client": controls.client or peer},
             ))
@@ -603,6 +617,7 @@ class ServeServer:
             "queue_depth": self.queue.depth,
             "queue_lanes": self.queue.lane_depths(),
             "busy_workers": self._busy,
+            "pool_restarts": self.pool_restarts,
             "inflight": len(self.inflight),
             "memo_entries": len(self.memo),
             "store": str(self.store.root),

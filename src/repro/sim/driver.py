@@ -183,15 +183,17 @@ def simulate(
     ``sim.fallback.predictor``.
 
     With tracing on (:mod:`repro.telemetry.tracing`) the run is wrapped
-    in a ``sim.driver`` trace span; this is trace-only — the ``sim.*``
-    counter set recorded into the metrics registry never changes.
+    in a ``sim.driver`` span, which also observes
+    ``span.sim.driver.seconds``; the span opens only while tracing, so
+    an untraced call times nothing, and the ``sim.*`` counters are the
+    same either way.
     """
     from repro.sim.core import resolve_core
 
     core = resolve_core(core)
     if not telemetry.tracing_enabled():
         return _simulate(trace, predictor, options, collector, core)
-    with telemetry.trace_span(
+    with telemetry.span(
         "sim.driver",
         workload=trace.meta.workload or "<trace>",
         predictor=predictor.name,
@@ -213,13 +215,13 @@ def _simulate(
     fallback = None
     if core != "object" and not fastcore.kernelizable(predictor):
         core, fallback = "object", "predictor"
-    # On a kernel core a decode gets its own trace span; a cache hit
-    # still takes its sequence number, so the replay span's id does not
-    # depend on what this process decoded before.
+    # While tracing, a decode on a kernel core gets its own span; a
+    # cache hit still takes its sequence number, so the replay span's id
+    # does not depend on what this process decoded before.
     decode = nullcontext()
     if core != "object" and telemetry.tracing_enabled():
         if fastcore.cached_plan(trace, options) is None:
-            decode = telemetry.trace_span(
+            decode = telemetry.span(
                 "fastcore.decode", workload=trace.meta.workload or "<trace>"
             )
         else:

@@ -124,20 +124,22 @@ def kernel_replay(predictor, plan: ReplayPlan, core: str):
 
     Returns ``(used, mis)``: the core that ran (``numpy`` runs the
     batched backend on table kernels and the fast loops otherwise) and
-    the mispredicted branch indices.  The replay
-    runs in a ``fastcore.replay`` trace span, which is trace-only: the
-    registry's counter set is the same with tracing on or off.
+    the mispredicted branch indices.  While tracing, the replay runs
+    in a ``fastcore.replay`` span; untraced, it opens none, so the
+    per-point path times nothing and the counter set is the same
+    either way.
     """
     kernel = kernel_from_predictor(predictor)
     used = "numpy" if core == "numpy" and batch_supported(kernel) else "fast"
+    replay = batch_replay if used == "numpy" else fast_replay
     start = time.perf_counter()
-    with telemetry.trace_span(
-        "fastcore.replay", workload=plan.workload, kernel=kernel.name
-    ):
-        if used == "numpy":
-            mis = batch_replay(kernel, plan)
-        else:
-            mis = fast_replay(kernel, plan)
+    if telemetry.tracing_enabled():
+        with telemetry.span(
+            "fastcore.replay", workload=plan.workload, kernel=kernel.name
+        ):
+            mis = replay(kernel, plan)
+    else:
+        mis = replay(kernel, plan)
     wall = time.perf_counter() - start
     if wall > 0.0 and telemetry.enabled():
         telemetry.get_registry().gauge(

@@ -114,7 +114,7 @@ def _simulate_point(trace, point, predictor, profile, core, sweep_ctx):
     ``result.attribution`` exactly like the registry.
 
     ``sweep_ctx`` (the sweep span's trace context) turns tracing on for
-    the point: it runs under a ``sweep-point`` trace span whose id is
+    the point: it runs under a ``sweep-point`` span whose id is
     derived from the sweep context and the point's canonical index —
     not from scheduling — and its spans come back in a fresh
     :class:`~repro.telemetry.SpanCollector`, mirroring the registry.
@@ -128,6 +128,10 @@ def _simulate_point(trace, point, predictor, profile, core, sweep_ctx):
     )
     spans = None
     with ExitStack() as stack:
+        # The point's registry is entered first, so the span histograms
+        # of the point (``sweep-point`` included) land in it whichever
+        # process ran the point.
+        registry = stack.enter_context(use_registry(MetricsRegistry()))
         if sweep_ctx is not None:
             spans = tracing.SpanCollector()
             stack.enter_context(tracing.use_tracing(True))
@@ -135,11 +139,10 @@ def _simulate_point(trace, point, predictor, profile, core, sweep_ctx):
             stack.enter_context(
                 tracing.use_context(sweep_ctx, next_seq=point.index)
             )
-            stack.enter_context(tracing.trace_span(
+            stack.enter_context(span(
                 "sweep-point", index=point.index, workload=point.workload,
                 predictor=point.predictor,
             ))
-        registry = stack.enter_context(use_registry(MetricsRegistry()))
         result = simulate(
             trace, predictor, point.options, collector=collector, core=core
         )

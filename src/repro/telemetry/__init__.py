@@ -1,22 +1,22 @@
 """Telemetry: metrics, span tracing and cross-process aggregation.
 
-Five small pieces, composable and individually optional:
+Four small pieces, composable and individually optional:
 
 * :mod:`repro.telemetry.registry` — a process-local
   :class:`MetricsRegistry` of counters, gauges and fixed-bucket
   histograms, with deterministic :meth:`~MetricsRegistry.merge` so sweep
   workers can ship their numbers back to the parent as pickled
   registries.
-* :mod:`repro.telemetry.spans` — nestable :func:`span` timers for
-  phase-level tracing (trace build → cache publish → sweep → sim →
-  aggregate).
 * :mod:`repro.telemetry.sinks` — pluggable event sinks.  The default is
   a :class:`NullSink`, so instrumented hot paths cost nothing until a
   real sink (:class:`MemorySink`, :class:`JsonlSink`) is installed.
-* :mod:`repro.telemetry.tracing` — distributed trace contexts
-  (trace_id / span_id / parent_id) propagated across process
-  boundaries, collected into a mergeable :class:`SpanCollector`, and
-  rendered by :mod:`repro.telemetry.traceview` (``repro trace show``).
+* :mod:`repro.telemetry.tracing` — :func:`span`, the one phase timer
+  (trace build → cache publish → sweep → sim → aggregate): a
+  ``span.<name>.seconds`` histogram in the current registry and, while
+  tracing, a trace-span record.  Trace contexts (trace_id / span_id /
+  parent_id) propagate across process boundaries, are collected into a
+  mergeable :class:`SpanCollector`, and are rendered by
+  :mod:`repro.telemetry.traceview` (``repro trace show``).
 * :mod:`repro.telemetry.prom` — Prometheus text exposition of a
   registry snapshot (``GET /metrics?format=prom``).
 
@@ -69,7 +69,6 @@ from repro.telemetry.sinks import (
     set_sink,
     use_sink,
 )
-from repro.telemetry.spans import current_path, span
 from repro.telemetry.tracing import (
     SpanCollector,
     TraceContext,
@@ -79,11 +78,8 @@ from repro.telemetry.tracing import (
     get_collector,
     new_trace_id,
     read_spans,
-    record_span,
-    set_collector,
-    set_tracing,
     skip_span,
-    trace_span,
+    span,
     tracing_enabled,
     use_collector,
     use_context,
@@ -112,7 +108,6 @@ __all__ = [
     "child_context",
     "critical_path",
     "current_context",
-    "current_path",
     "disabled",
     "enabled",
     "from_traceparent",
@@ -123,7 +118,6 @@ __all__ = [
     "read_events",
     "read_events_lenient",
     "read_spans",
-    "record_span",
     "render_history_trend",
     "render_profile_events",
     "render_profile_markdown",
@@ -131,15 +125,12 @@ __all__ = [
     "render_report",
     "render_trace",
     "render_trace_list",
-    "set_collector",
     "set_enabled",
     "set_registry",
     "set_sink",
-    "set_tracing",
     "skip_span",
     "span",
     "summarize_events",
-    "trace_span",
     "tracing_enabled",
     "use_collector",
     "use_context",

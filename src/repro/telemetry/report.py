@@ -1,9 +1,10 @@
 """Human-readable summaries of telemetry and profiler event streams.
 
-``repro telemetry-report run.jsonl`` renders three tables from a file
-written by the ``--metrics`` flag: the final merged counters and gauges
-(from the last ``"metrics"`` snapshot event), histogram summaries, and
-per-path span aggregates.  Tables go through the same
+``repro telemetry-report run.jsonl`` renders tables from the last
+``"metrics"`` snapshot event of a file written by the ``--metrics``
+flag: counters, gauges, and histogram summaries (count, total, mean,
+p50, p95, p99).  Span timings are ordinary histograms there, one
+``span.<name>.seconds`` row per span name.  Tables go through the same
 ``format_result_table`` renderer the experiment harness uses.
 
 :func:`render_profile_markdown` is the shared markdown renderer for
@@ -27,7 +28,7 @@ def _format_table(rows, columns, title):
 
 
 def summarize_events(events: List[dict]) -> str:
-    """Render counters/gauges/histograms/spans tables from ``events``."""
+    """Render counters/gauges/histograms tables from ``events``."""
     sections = []
 
     metrics = [e for e in events if e.get("event") == "metrics"]
@@ -38,12 +39,10 @@ def summarize_events(events: List[dict]) -> str:
         rows = [
             {"counter": name, "value": value}
             for name, value in sorted(counters.items())
-            if not name.startswith("span.")
         ]
-        if rows:
-            sections.append(_format_table(
-                rows, ["counter", "value"], title="counters"
-            ))
+        sections.append(_format_table(
+            rows, ["counter", "value"], title="counters"
+        ))
 
     gauges = snapshot.get("gauges", {})
     if gauges:
@@ -74,32 +73,6 @@ def summarize_events(events: List[dict]) -> str:
             rows,
             ["histogram", "count", "total", "mean", "p50", "p95", "p99"],
             title="histograms",
-        ))
-
-    spans = {}
-    for event in events:
-        if event.get("event") != "span":
-            continue
-        stats = spans.setdefault(
-            event["path"], {"calls": 0, "total": 0.0, "max": 0.0}
-        )
-        stats["calls"] += 1
-        stats["total"] += event["seconds"]
-        stats["max"] = max(stats["max"], event["seconds"])
-    if spans:
-        rows = [
-            {
-                "span": path,
-                "calls": stats["calls"],
-                "total_s": stats["total"],
-                "mean_s": stats["total"] / stats["calls"],
-                "max_s": stats["max"],
-            }
-            for path, stats in sorted(spans.items())
-        ]
-        sections.append(_format_table(
-            rows, ["span", "calls", "total_s", "mean_s", "max_s"],
-            title="spans",
         ))
 
     if not sections:

@@ -1,7 +1,9 @@
 """Telemetry event sinks.
 
 A sink receives *events* — flat JSON-serialisable dicts with at least an
-``"event"`` key (``"span"`` and ``"metrics"`` today).  The default sink
+``"event"`` key: the CLI writes one ``"header"`` and, last, one
+``"metrics"`` snapshot (span timings live in the snapshot's
+``span.<name>.seconds`` histograms).  The default sink
 is :class:`NullSink`, whose :meth:`~Sink.emit` is a no-op, so
 instrumented code paths cost nothing unless a real sink is installed
 (the CLI's ``--metrics out.jsonl`` flag installs a :class:`JsonlSink`).

@@ -1,9 +1,19 @@
-"""Distributed tracing: trace-context propagation and span collection.
+"""Spans and distributed tracing.
+
+:func:`span` is the one way to time a phase of work (trace build,
+cache publish, sweep, an experiment, one simulation).  On exit it
+writes at most two records:
+
+* while telemetry is enabled (:func:`repro.telemetry.enabled`), one
+  observation into the current registry's name-keyed histogram
+  ``span.<name>.seconds`` — its ``count`` is the number of calls;
+* while tracing is on, one ``trace-span`` record into the current
+  :class:`SpanCollector`, linked to its parent by the frame stack below.
 
 One request to the serve daemon — or one sweep grid point — crosses
 several process boundaries: HTTP handler, job queue, pool worker,
-simulation driver.  This module gives every such unit of work a
-**trace context** (W3C-traceparent-style ``trace_id`` / ``span_id`` /
+simulation driver.  Tracing gives every such unit of work a **trace
+context** (W3C-traceparent-style ``trace_id`` / ``span_id`` /
 ``parent_id``) that is carried across those boundaries explicitly, so
 all the spans it produces reassemble into one tree no matter which
 process timed them.
@@ -23,10 +33,9 @@ Design constraints, in order:
   :class:`~repro.telemetry.MetricsRegistry` travels from sweep workers
   back to the parent.
 * **Zero cost when off.**  Tracing defaults to disabled; every helper
-  reduces to one flag check.  The existing
-  :func:`~repro.telemetry.spans.span` timers pick tracing up
-  automatically when it is on, so instrumented phases need no second
-  annotation.
+  reduces to one flag check.  Per-point call sites (``sim.driver``,
+  ``fastcore.decode``, ``fastcore.replay``, ``sweep-point``) open their
+  span only while tracing, so an untraced run pays nothing per point.
 
 Propagation format is a W3C ``traceparent`` string,
 ``00-<trace_id:32hex>-<span_id:16hex>-01``, accepted from HTTP clients
@@ -41,6 +50,8 @@ import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
+
+from repro.telemetry.registry import enabled, get_registry
 
 #: Environment knob: ``REPRO_TRACING=1`` turns tracing on at import.
 TRACING_ENV = "REPRO_TRACING"
@@ -220,8 +231,8 @@ class SpanCollector:
 def read_spans(path) -> List[dict]:
     """Read span records back from a JSONL file (non-span lines skipped).
 
-    Tolerates mixed streams: a ``--metrics`` file carries ``span`` and
-    ``metrics`` events too, and a daemon trace log may be appended to
+    Tolerates mixed streams: a ``--metrics`` file carries ``header`` and
+    ``metrics`` events, and a daemon trace log may be appended to
     by a still-running process (trailing partial line).
     """
     import json
@@ -256,11 +267,6 @@ def tracing_enabled() -> bool:
     return _TRACING
 
 
-def set_tracing(value: bool) -> None:
-    global _TRACING
-    _TRACING = bool(value)
-
-
 @contextmanager
 def use_tracing(value: bool = True):
     """Temporarily flip tracing on (or off) for the duration."""
@@ -279,10 +285,6 @@ def get_collector() -> SpanCollector:
     # falling back to the global one would silently drop its spans.
     collector = getattr(_state, "collector", None)
     return collector if collector is not None else _GLOBAL_COLLECTOR
-
-
-def set_collector(collector: Optional[SpanCollector]) -> None:
-    _state.collector = collector
 
 
 @contextmanager
@@ -328,27 +330,6 @@ def use_context(ctx: TraceContext, next_seq: int = 0):
         _state.frames = previous if previous is not None else []
 
 
-def push_span(name: str) -> TraceContext:
-    """Open a span named ``name`` under the current context.
-
-    With no current context a new trace is rooted (random trace id).
-    Returns the new span's context; pair with :func:`pop_span`.
-    """
-    frames = _frames()
-    if frames:
-        parent, seq = frames[-1][0], frames[-1][1]
-        frames[-1][1] += 1
-        ctx = child_context(parent, name, seq)
-    else:
-        trace_id = new_trace_id()
-        ctx = TraceContext(
-            trace_id=trace_id,
-            span_id=derive_span_id(trace_id, "", name, 0),
-        )
-    frames.append([ctx, 0])
-    return ctx
-
-
 def skip_span() -> None:
     """Take the sequence number a child span opened here would take,
     recording nothing — for an optional span, so that its absence does
@@ -359,45 +340,48 @@ def skip_span() -> None:
             frames[-1][1] += 1
 
 
-def pop_span(ctx: TraceContext, name: str, start: float,
-             seconds: float, attrs: Optional[dict] = None) -> dict:
-    """Close the span opened by :func:`push_span` and record it."""
-    frames = _frames()
-    if frames and frames[-1][0] is ctx:
-        frames.pop()
-    record = make_record(ctx, name, start, seconds, attrs)
-    get_collector().add(record)
-    return record
-
-
-def record_span(ctx: TraceContext, name: str, start: float,
-                seconds: float, attrs: Optional[dict] = None) -> dict:
-    """Record a finished span directly (for async phases — e.g. a job's
-    queue wait — whose lifetime cannot wrap a ``with`` block)."""
-    record = make_record(ctx, name, start, seconds, attrs)
-    get_collector().add(record)
-    return record
-
-
 @contextmanager
-def trace_span(name: str, **attrs):
-    """Record a trace span around a block — and nothing else.
+def span(name: str, **attrs):
+    """Time a phase: ``with span("sweep", points=32): ...``.
 
-    Unlike :func:`repro.telemetry.spans.span` this does *not* touch the
-    metrics registry or the event sink, so it can annotate sites whose
-    counter sets must stay unchanged (the simulation driver, the fast
-    cores).  With tracing disabled it is a single flag check.
+    Observes the block's duration into ``span.<name>.seconds`` while
+    telemetry is enabled and, while tracing, opens a trace context
+    (children link to it across nesting and, via the propagation
+    plumbing, across processes) and records a ``trace-span`` with
+    ``attrs`` (JSON-serialisable) on exit.  Yields that context, or
+    ``None`` when not tracing.  With both off the block runs untimed.
+    Spans are phase-grained — never wrap per-branch work in one.
     """
-    if not _TRACING:
+    timed = enabled()
+    traced = _TRACING
+    if not (timed or traced):
         yield None
         return
-    ctx = push_span(name)
-    start = time.time()
-    t0 = time.perf_counter()
+    ctx = None
+    if traced:
+        frames = _frames()
+        if frames:
+            parent = frames[-1]
+            ctx = child_context(parent[0], name, parent[1])
+            parent[1] += 1
+        else:  # no open span: root a new trace (random trace id)
+            trace_id = new_trace_id()
+            ctx = TraceContext(trace_id=trace_id, span_id=derive_span_id(
+                trace_id, "", name, 0
+            ))
+        frames.append([ctx, 0])
+        wall_start = time.time()
+    start = time.perf_counter()
     try:
         yield ctx
     finally:
-        pop_span(
-            ctx, name, start, time.perf_counter() - t0,
-            attrs or None,
-        )
+        seconds = time.perf_counter() - start
+        if timed:
+            get_registry().histogram(f"span.{name}.seconds").observe(
+                seconds
+            )
+        if traced:
+            frames.pop()
+            get_collector().add(
+                make_record(ctx, name, wall_start, seconds, attrs or None)
+            )

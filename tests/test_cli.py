@@ -280,11 +280,11 @@ class TestLintCommand:
             for line in metrics.read_text().splitlines()
             if line
         ]
-        spans = [e for e in events if e.get("event") == "span"]
-        assert any(e["name"] == "lint" for e in spans)
-        assert any(e["name"] == "lint-run" for e in spans)
-        snapshots = [e for e in events if e.get("event") == "metrics"]
-        counters = snapshots[-1]["counters"]
+        assert [e["event"] for e in events] == ["header", "metrics"]
+        histograms = events[-1]["histograms"]
+        assert histograms["span.lint-program.seconds"]["count"] == 1
+        assert histograms["span.lint-run.seconds"]["count"] == 1
+        counters = events[-1]["counters"]
         assert counters["analysis.programs"] == 1
         assert counters["analysis.functions"] >= 1
         assert counters["analysis.instructions"] > 10

@@ -486,6 +486,7 @@ class TestOperational:
             assert body["core"] == "object"
             assert body["workers"] == 0
             assert body["queue_depth"] == 0
+            assert body["pool_restarts"] == 0
             assert str(tmp_path / "runs") in body["store"]
 
     def test_priority_zero_jumps_the_queue(self, tmp_path):
@@ -518,6 +519,41 @@ class TestOperational:
             # was admitted before it.
             assert finished["urgent"]["queue_seconds"] <= \
                 finished["slow"]["queue_seconds"]
+
+
+class TestPoolRecovery:
+    def test_killed_worker_pool_is_replaced(self, tmp_path):
+        """A SIGKILLed pool worker breaks the pool for good; the daemon
+        replaces it, so a later miss succeeds and hits are unchanged."""
+        import signal
+
+        with serve(tmp_path / "runs", workers=1,
+                   mp_context="spawn") as (handle, client):
+            status, first = client.simulate(**TINY)
+            assert status == 200
+            _, hit_before = client.simulate(**TINY)
+            assert hit_before["cached"] is True
+            (pid,) = list(handle.server._pool._processes)
+            os.kill(pid, signal.SIGKILL)
+            replies = []
+            for entries in (16, 32):
+                status, body = client.simulate(
+                    workload="crc", scale="tiny", entries=entries
+                )
+                replies.append((status, body))
+                if status == 200:
+                    break
+            # The miss that finds the pool broken fails; the next runs
+            # on the new pool.
+            assert replies[-1][0] == 200, replies
+            for status, body in replies[:-1]:
+                assert (status, body["error"]["code"]) == \
+                    (500, "execution_failed")
+            assert counter(client, "serve.pool_restarts") == 1
+            assert client.healthz()[1]["pool_restarts"] == 1
+            _, hit_after = client.simulate(**TINY)
+            assert json.dumps(hit_after, sort_keys=True) == \
+                json.dumps(hit_before, sort_keys=True)
 
 
 class TestAsyncClient:

@@ -2,9 +2,9 @@
 
 The load-bearing contracts: registry merges are deterministic (a
 4-worker sweep and a serial sweep produce identical merged counters),
-the JSONL sink round-trips events losslessly, spans nest and record
-into the current registry, and the disabled switch really turns
-recording off.
+the JSONL sink round-trips events losslessly, spans nest (as trace
+records) and time into name-keyed histograms of the current registry,
+and the disabled switch really turns recording off.
 """
 
 import pickle
@@ -19,10 +19,12 @@ from repro.telemetry import (
     MemorySink,
     MetricsRegistry,
     NullSink,
+    SpanCollector,
     read_events,
     span,
+    use_collector,
     use_registry,
-    use_sink,
+    use_tracing,
 )
 from repro.workloads import get_workload
 
@@ -173,49 +175,78 @@ class TestSinks:
 
 
 class TestSpans:
-    def test_nested_paths_and_registry_recording(self):
+    @staticmethod
+    def _record(work):
+        """The trace records (in close order) and histograms of ``work``."""
         registry = MetricsRegistry()
-        sink = MemorySink()
-        with use_registry(registry), use_sink(sink):
+        spans = SpanCollector()
+        with use_registry(registry), use_tracing(True), \
+                use_collector(spans):
+            work()
+        return spans.records, registry.snapshot()
+
+    def test_nested_paths_and_registry_recording(self):
+        def work():
             with span("outer"):
                 with span("inner", detail=1):
                     pass
-        paths = [e["path"] for e in sink.events]
-        assert paths == ["outer/inner", "outer"]  # inner closes first
-        assert sink.events[0]["depth"] == 1
-        assert sink.events[0]["attrs"] == {"detail": 1}
-        counters = registry.snapshot()["counters"]
-        assert counters["span.outer.calls"] == 1
-        assert counters["span.outer/inner.calls"] == 1
-        assert registry.histogram("span.outer.seconds").count == 1
+
+        records, snapshot = self._record(work)
+        inner, outer = records  # inner closes first
+        assert (inner["name"], outer["name"]) == ("inner", "outer")
+        assert inner["parent_id"] == outer["span_id"]
+        assert outer["parent_id"] == ""
+        assert inner["attrs"] == {"detail": 1}
+        assert "attrs" not in outer
+        # One name-keyed histogram per span; its count is the calls.
+        histograms = snapshot["histograms"]
+        assert histograms["span.outer.seconds"]["count"] == 1
+        assert histograms["span.inner.seconds"]["count"] == 1
+        assert snapshot["counters"] == {}
 
     def test_trace_build_splits_into_phases(self, tmp_path):
         from repro.trace import TraceCache
 
-        registry = MetricsRegistry()
-        sink = MemorySink()
-        with use_registry(registry), use_sink(sink):
-            get_workload("crc").trace(scale="tiny", hyperblocks=True,
-                                      cache=TraceCache(tmp_path))
-        paths = [e["path"] for e in sink.events]
+        records, snapshot = self._record(
+            lambda: get_workload("crc").trace(
+                scale="tiny", hyperblocks=True, cache=TraceCache(tmp_path)
+            )
+        )
+        by_id = {r["span_id"]: r for r in records}
         # profiling compile, profiling run, hyperblock compile, traced run
-        assert paths[:5] == [
-            "trace-build/compile",
-            "trace-build/profile-run",
-            "trace-build/compile",
-            "trace-build/traced-run",
-            "trace-build",
+        assert [
+            (by_id.get(r["parent_id"], {}).get("name", ""), r["name"])
+            for r in records[:5]
+        ] == [
+            ("trace-build", "compile"),
+            ("trace-build", "profile-run"),
+            ("trace-build", "compile"),
+            ("trace-build", "traced-run"),
+            ("", "trace-build"),
         ]
+        counts = {
+            name: data["count"]
+            for name, data in snapshot["histograms"].items()
+            if name.startswith("span.")
+        }
+        assert counts == {
+            "span.trace-build.seconds": 1,
+            "span.compile.seconds": 2,
+            "span.profile-run.seconds": 1,
+            "span.traced-run.seconds": 1,
+            "span.cache-publish.seconds": 1,
+        }
 
     def test_disabled_records_nothing(self):
         registry = MetricsRegistry()
-        sink = MemorySink()
-        with use_registry(registry), use_sink(sink):
+        spans = SpanCollector()
+        with use_registry(registry), use_collector(spans):
             with telemetry.disabled():
-                with span("quiet"):
+                with span("quiet") as ctx:
                     pass
-        assert sink.events == []
-        assert registry.snapshot()["counters"] == {}
+        assert ctx is None
+        assert len(spans) == 0
+        assert registry.snapshot() == MetricsRegistry().snapshot()
 
 
 class TestSimulateCounters:

@@ -21,32 +21,36 @@ class TestSummarize:
 
     def test_counters_gauges_spans_tables(self):
         events = [
-            {"event": "span", "name": "sweep", "path": "sweep",
-             "depth": 0, "seconds": 0.5},
-            {"event": "span", "name": "sweep", "path": "sweep",
-             "depth": 0, "seconds": 1.5},
+            {"event": "header", "schema": 1, "command": "run"},
             {"event": "metrics",
-             "counters": {"sim.branches": 42, "span.sweep.calls": 2},
+             "counters": {"sim.branches": 42},
              "gauges": {"sweep.workers": 4},
              "histograms": {
                  "sweep.point_seconds": {
                      "buckets": [1.0], "counts": [2, 0],
                      "total": 0.5, "count": 2,
-                 }
+                 },
+                 "span.sweep.seconds": {
+                     "buckets": [1.0], "counts": [1, 1],
+                     "total": 2.0, "count": 2,
+                     "p50": 0.5, "p95": 1.5, "p99": 1.5,
+                 },
              }},
         ]
         text = summarize_events(events)
         assert "counters" in text
         assert "sim.branches" in text
         assert "42" in text
-        # span.* counters are folded into the spans table, not listed.
-        assert "span.sweep.calls" not in text
         assert "sweep.workers" in text
         assert "sweep.point_seconds" in text
-        spans_section = text.split("spans")[-1]
-        assert "2" in spans_section  # calls
-        assert "2.0000" in spans_section  # total_s
-        assert "1.5000" in spans_section  # max_s
+        # A span is one row of the histograms table: count, total,
+        # mean and percentiles; there is no separate spans table.
+        (row,) = [line for line in text.splitlines()
+                  if "span.sweep.seconds" in line]
+        assert row.split()[1:] == [
+            "2", "2.0000", "1.0000", "0.5000", "1.5000", "1.5000",
+        ]
+        assert "spans" not in text
 
     def test_last_metrics_snapshot_wins(self):
         events = [
@@ -85,7 +89,14 @@ class TestMetricsCli:
         counters = events[-1]["counters"]
         assert counters["sim.branches"] > 0
         assert counters["sweep.points_completed"] == 4
-        assert any(e["event"] == "span" for e in events)
+        # The sink holds the header and the snapshot; span timings are
+        # name-keyed histograms in it (per-point spans only when traced).
+        assert [e["event"] for e in events] == ["header", "metrics"]
+        histograms = events[-1]["histograms"]
+        assert histograms["span.E2.seconds"]["count"] == 1
+        assert histograms["span.sweep.seconds"]["count"] == 1
+        assert "span.sim.driver.seconds" not in histograms
+        assert not [name for name in counters if name.startswith("span.")]
 
     def test_serial_and_parallel_metrics_counters_identical(
             self, run_cli, tmp_path):

@@ -16,13 +16,14 @@ The contracts under test:
 * pickling — contexts and collectors cross the
   ``ProcessPoolExecutor`` boundary losslessly;
 * simulation spans — on a kernel core, a plan decode (a plan-cache
-  miss) and the replay are sibling spans under ``sim.driver``, and
-  tracing never changes the registry's counters;
+  miss) and the replay are sibling spans under ``sim.driver``; tracing
+  never changes the registry's counters, and the per-point spans (and
+  their ``span.*`` histograms) exist only while tracing;
 * rendering — ``repro trace show`` output carries the tree, the
   critical path and per-span self time;
 * the CLI — ``--trace PATH`` makes one invocation one trace, rooted at
-  a span named for the subcommand, cold trace builds and pool workers
-  included.
+  a span named for the subcommand, with one child per experiment, cold
+  trace builds and pool workers included.
 """
 
 import argparse
@@ -50,7 +51,7 @@ from repro.telemetry import (
     read_spans,
     render_trace,
     render_trace_list,
-    trace_span,
+    span,
     tracing_enabled,
     use_collector,
     use_context,
@@ -197,15 +198,15 @@ class TestTraceContext:
         assert not tracing_enabled()
         collector = SpanCollector()
         with use_collector(collector):
-            with trace_span("noop"):
+            with span("noop"):
                 pass
         assert len(collector) == 0
 
     def test_trace_span_records_nested_tree(self):
         collector = SpanCollector()
         with use_tracing(True), use_collector(collector):
-            with trace_span("outer", kind="test"):
-                with trace_span("inner"):
+            with span("outer", kind="test"):
+                with span("inner"):
                     pass
         outer, inner = sorted(
             collector.records, key=lambda r: r["start"]
@@ -226,9 +227,9 @@ class TestSpanCollector:
     def _records(self, count=3):
         collector = SpanCollector()
         with use_tracing(True), use_collector(collector):
-            with trace_span("root"):
+            with span("root"):
                 for index in range(count):
-                    with trace_span("step"):
+                    with span("step"):
                         pass
         return collector
 
@@ -256,7 +257,7 @@ class TestSpanCollector:
             collector = SpanCollector()
             with use_tracing(True), use_collector(collector), \
                     use_context(root):
-                with trace_span("work"):
+                with span("work"):
                     pass
             identities.append(collector.identity())
         assert identities[0] == identities[1]
@@ -411,6 +412,34 @@ class TestSweepTracing:
         replays = [i for i in identities[0] if i[3] == "fastcore.replay"]
         assert len(replays) == (0 if core == "object" else 2)
 
+    def test_span_histograms_do_not_depend_on_workers(self):
+        """A traced 4-point sweep records the same ``span.*`` histogram
+        names, one ``sim.driver`` and one ``fastcore.replay`` observation
+        per point, and identical counters, serially and over two
+        workers."""
+        snapshots = []
+        for workers in (1, 2):
+            _, _, registry = self._run(workers=workers, core="fast")
+            snapshots.append(registry.snapshot())
+        serial, parallel = snapshots
+        # Decodes aside: whether a point decodes depends on what its
+        # process had cached (see _without_decodes).
+        names = [
+            {name for name in snapshot["histograms"]
+             if name.startswith("span.")
+             and name != "span.fastcore.decode.seconds"}
+            for snapshot in snapshots
+        ]
+        assert names[0] == names[1]
+        assert {"span.sweep.seconds", "span.sweep-point.seconds",
+                "span.sim.driver.seconds"} <= names[0]
+        for snapshot in snapshots:
+            histograms = snapshot["histograms"]
+            assert histograms["span.sim.driver.seconds"]["count"] == 4
+            assert histograms["span.sweep-point.seconds"]["count"] == 4
+            assert histograms["span.fastcore.replay.seconds"]["count"] == 4
+        assert serial["counters"] == parallel["counters"]
+
     def test_worker_spans_report_worker_pids(self):
         import os
 
@@ -468,6 +497,29 @@ class TestSimulateSpans:
         tree, _ = self._simulate(self._fresh_trace(), "object")
         assert tree == [("", "sim.driver")]
 
+    def test_untraced_run_opens_no_per_point_span(self):
+        """Untraced, ``simulate`` and the sweep points time nothing:
+        the per-point spans open only while tracing."""
+        traces = {"crc": self._fresh_trace()}
+        factories = {"gshare": lambda: make_predictor("gshare",
+                                                      entries=256)}
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            simulate(traces["crc"], factories["gshare"](), SimOptions(),
+                     core="fast")
+            sweep(traces, factories, [SimOptions(), SimOptions(distance=8)],
+                  workers=1, core="fast")
+        snapshot = registry.snapshot()
+        spans = {
+            name for name in snapshot["histograms"]
+            if name.startswith("span.")
+        }
+        assert spans == {"span.sweep.seconds"}
+        # The histogram's count is the call count: no span counters.
+        assert snapshot["histograms"]["span.sweep.seconds"]["count"] == 1
+        assert not [name for name in snapshot["counters"]
+                    if name.startswith("span.")]
+
     @pytest.mark.parametrize("core", ["object", "fast", "numpy"])
     def test_tracing_leaves_counters_unchanged(self, core):
         _, traced = self._simulate(self._fresh_trace(), core)
@@ -486,11 +538,11 @@ class TestTraceView:
     def _collect(self):
         collector = SpanCollector()
         with use_tracing(True), use_collector(collector):
-            with trace_span("root"):
-                with trace_span("fast"):
+            with span("root"):
+                with span("fast"):
                     pass
-                with trace_span("slow"):
-                    with trace_span("leaf"):
+                with span("slow"):
+                    with span("leaf"):
                         pass
         return collector.canonical()
 
@@ -559,6 +611,17 @@ class TestCliTrace:
         assert {"trace-build", "cache-publish", "sim.driver"} <= {
             r["name"] for r in records
         }
+
+    def test_experiment_span_sits_between_root_and_sweep(self, tmp_path):
+        records, roots = self._spans(
+            tmp_path, "run", "e02", "--workloads", "crc"
+        )
+        assert roots == ["run"]
+        names = {r["span_id"]: r["name"] for r in records}
+        (experiment,) = [r for r in records if r["name"] == "E2"]
+        assert names[experiment["parent_id"]] == "run"
+        (sweep_span,) = [r for r in records if r["name"] == "sweep"]
+        assert sweep_span["parent_id"] == experiment["span_id"]
 
     def test_parallel_run_is_one_trace(self, tmp_path):
         records, roots = self._spans(

@@ -4,16 +4,13 @@ Run with::
 
     pytest benchmarks/test_bench_fastcore.py --benchmark-only -s
 
-Two acceptance gates on an E2-style grid (gshare capacity sweep over
+One acceptance gate on an E2-style grid (gshare capacity sweep over
 the technique-sensitive workload subset, small scale), and one on an
 E11-style grid:
 
 * ``bench_fastcore_speedup_gate`` — the flat-kernel core must push
   ``sweep.points_per_second`` at least 5x the object core's, with
   bit-identical results.
-* ``bench_numpy_vs_fast_gate`` — the numpy-batched backend must be at
-  least as fast as the scalar fast loop on gshare (the table-indexed
-  case it exists for).
 * ``bench_fastcore_families_gate`` — the tournament, perceptron and
   TAGE kernels, with and without SFP+PGU, must together run at least
   3x the object core's points per second, with bit-identical results.
@@ -143,50 +140,6 @@ def bench_fastcore_speedup_gate(benchmark):
     assert speedup >= FAST_SPEEDUP_FLOOR, (
         f"fast core speedup {speedup:.2f}x is below the "
         f"{FAST_SPEEDUP_FLOOR:.0f}x floor"
-    )
-
-
-def bench_numpy_vs_fast_gate(benchmark):
-    """The batched backend must not lose to the scalar fast loop."""
-    traces, factories, grid = _grid()
-    measured = {}
-
-    def compare():
-        # Alternate the two cores run to run so drift in machine load
-        # hits both sides, then compare the best of each.
-        fast_best, fast_results = 0.0, None
-        numpy_best, numpy_results = 0.0, None
-        for _ in range(3):
-            results, snap = _run_sweep(traces, factories, grid, "fast")
-            fast_best = max(fast_best, _points_per_second(snap))
-            fast_results = results
-            results, snap = _run_sweep(traces, factories, grid, "numpy")
-            numpy_best = max(numpy_best, _points_per_second(snap))
-            numpy_results = results
-        measured.update(
-            fast_pps=fast_best,
-            numpy_pps=numpy_best,
-            identical=_fingerprint(fast_results)
-            == _fingerprint(numpy_results),
-        )
-
-    run_once(benchmark, compare)
-    ratio = measured["numpy_pps"] / measured["fast_pps"]
-    emit_gate(
-        "fastcore_numpy_vs_fast",
-        fast_points_per_second=measured["fast_pps"],
-        numpy_points_per_second=measured["numpy_pps"],
-        ratio=ratio,
-    )
-    print(
-        f"\nfast {measured['fast_pps']:.2f} pts/s, "
-        f"numpy {measured['numpy_pps']:.2f} pts/s, "
-        f"ratio {ratio:.2f}x"
-    )
-    assert measured["identical"], "numpy core diverged from fast core"
-    assert ratio >= 1.0, (
-        f"numpy backend was slower than the scalar fast loop "
-        f"({ratio:.2f}x)"
     )
 
 

@@ -6,10 +6,12 @@ Run with::
 
 The 2-bit counter families of the kernel-sweep grid (bimodal, gshare,
 gselect, GAg and local at four table sizes, under the plain and the
-SFP+PGU front ends) replay every trace of the BENCH subset twice: once
-through :func:`~repro.sim.fastcore.replay.fast_replay` (events grouped
-by counter, one step per run) and once through the per-event loops kept
-in ``tests/replay_oracle.py``.  Replay plans are decoded before timing,
+SFP+PGU front ends, and under the flagged plans of delayed update and
+SFP training the PHT) replay every trace of the BENCH subset twice:
+once through :func:`~repro.sim.fastcore.replay.fast_replay` (events
+grouped by counter into runs, each run's counter function scanned
+with numpy) and once through the per-event loops kept in
+``tests/replay_oracle.py``.  Replay plans are decoded before timing,
 so both sides time index computation and replay only.
 
 * ``bench_replay_runs_gate`` — mispredicted branches, final tables and
@@ -38,7 +40,12 @@ ROUNDS = 3
 
 FAMILIES = ("bimodal", "gshare", "gselect", "gag", "local")
 SIZES = (256, 1024, 4096, 16384)
-GRID = (SimOptions(), SimOptions(sfp=SFPConfig(), pgu=PGUConfig()))
+GRID = (
+    SimOptions(),
+    SimOptions(sfp=SFPConfig(), pgu=PGUConfig()),
+    SimOptions(delayed_update=True, distance=8),
+    SimOptions(sfp=SFPConfig(update_pht=True)),
+)
 
 
 def _replay_pass(replay, plans):
@@ -65,7 +72,6 @@ def bench_replay_runs_gate(benchmark):
         for name in BENCH_SUBSET
         for options in GRID
     ]
-    assert all(plan.uniform for plan in plans)
     branches = sum(int(plan.ev_branch.shape[0]) for plan in plans)
     branches *= len(SIZES)
     best = {"oracle": None, "grouped": None}

@@ -6,9 +6,9 @@ Python lists of small ints (picklable, pokeable, trivially diffable;
 the perceptron's rows sit in a dict that makes each on first touch),
 and its methods compute, with numpy, the index every event of a replay
 reads.  It has no per-event ``predict``/``train``: the rules that read
-and update the tables live once, in the replay loops and the numpy
-scan (:mod:`repro.sim.fastcore.replay`, :mod:`repro.sim.fastcore.batch`),
-with the object predictors as the readable reference.
+and update the tables live once, in the run scan and the replay loops
+of :mod:`repro.sim.fastcore.replay`, with the object predictors as the
+readable reference.
 
 * Table kernels (bimodal, gshare, gselect, GAg) map ``(pc, ghr)``
   arrays to 2-bit counter indices (:meth:`TableKernel.batch_index`).
@@ -16,7 +16,7 @@ with the object predictors as the readable reference.
   stream (:meth:`LocalKernel.event_indices`).
 * The composite kernels (tournament, perceptron, TAGE) expose the
   per-event indices their replay loops read (``batch_chooser_index``,
-  ``batch_signs``, ``batch_slots``).
+  ``batch_lanes``, ``batch_slots``).
 * Every kernel has ``state()``/``load_state()``: an exact, picklable
   snapshot of its tables.
 
@@ -88,7 +88,7 @@ def _low_bits(ghr: np.ndarray, mask: int) -> np.ndarray:
 class TableKernel:
     """Shared shape of the four purely table-indexed kernels: 2-bit
     counters at ``batch_index(pc, ghr)``, the only kernels the numpy
-    backend replays."""
+    core takes."""
 
     def __init__(self, entries: int, name: str):
         if entries <= 0 or entries & (entries - 1):
@@ -161,8 +161,8 @@ class LocalKernel:
     outcome at every train event.  That history never depends on a
     prediction, so :meth:`event_indices` computes every event's index
     with numpy up front, and replay then walks the pattern table like
-    any other table kernel.  It is not a :class:`TableKernel`: the
-    numpy backend's ``batch_index`` takes no outcomes.
+    any other table kernel.  It is not a :class:`TableKernel`: its
+    indices need the outcomes, which ``batch_index`` does not take.
     """
 
     def __init__(self, entries: int, local_entries: int,
@@ -321,24 +321,24 @@ class TournamentKernel:
         self.chooser = chooser
 
 
-def _clip_table(limit: int) -> list:
-    """``table[v]`` clamps ``v`` in ``[-limit - 1, limit + 1]`` to
-    ``[-limit, limit]``; negative ``v`` index from the end."""
-    upper = [min(v, limit) for v in range(limit + 2)]
-    lower = [max(-v, -limit) for v in range(limit + 1, 0, -1)]
-    return upper + lower
-
-
 class PerceptronKernel:
     """Rows of saturating weights over ``history_bits`` history bits.
 
-    A history value is carried as its sign tuple ``(1, s_1 .. s_h)``
-    with ``s_i = +1`` where bit ``i - 1`` is set and ``-1`` elsewhere,
-    so the output is one dot product with the row (bias included) and
-    training adds the tuple to the row (subtracts it for not-taken).
+    A history value is carried as its signs ``(1, s_1 .. s_h)`` with
+    ``s_i = +1`` where bit ``i - 1`` is set and ``-1`` elsewhere, so the
+    output is one dot product with the row (bias included) and
+    training adds the signs to the row (subtracts them for not-taken).
     ``weights`` is a :class:`~repro.predictors.perceptron.WeightRows`:
     a row exists once an event has indexed it, so building a kernel
     costs the same at every table size.
+
+    While a replay runs, a row is one Python int of ``n = history_bits
+    + 1`` lanes of :attr:`lane` bits (:meth:`pack`): lane ``i`` holds
+    ``w_i + bias``, with ``bias = 2**m - 1 - limit`` and ``m`` the bit
+    length of ``2 * limit + 1``, so every lane lies in ``[1, 2**m)``
+    and stays non-negative and below bit ``m + 1`` after one ±1 step.
+    Lanes are 16 bits, doubled until they hold ``2 * n * 2**m``, so a
+    product of two rows never carries from one lane into the next.
     """
 
     def __init__(self, entries: int, history_bits: int,
@@ -353,34 +353,78 @@ class PerceptronKernel:
         self.history_mask = (1 << history_bits) - 1
         self.weight_limit = weight_limit
         self.threshold = threshold
-        self.clip = _clip_table(weight_limit)
         self.name = f"perceptron-{entries}x{history_bits}"
+        width = 2 * weight_limit + 1
+        self.high_bit = width.bit_length()
+        self.bias = (1 << self.high_bit) - 1 - weight_limit
+        self.lane = 16
+        while (2 * (history_bits + 1)) << self.high_bit > 1 << self.lane:
+            self.lane *= 2
+        self.shifts = range(0, self.lane * (history_bits + 1), self.lane)
 
-    def batch_signs(self, ghr):
-        """(per-event key, sign tuple per key): one shared tuple per
-        distinct history value."""
+    def pack(self, weights) -> int:
+        """A row's weights as one int, lane ``i`` holding ``w_i + bias``."""
+        bias = self.bias
+        return sum((w + bias) << shift for w, shift in zip(weights,
+                                                           self.shifts))
+
+    def unpack(self, row: int) -> list:
+        """The weights :meth:`pack` stored in ``row``."""
+        bias = self.bias
+        mask = (1 << self.lane) - 1
+        return [((row >> shift) & mask) - bias for shift in self.shifts]
+
+    def lanes(self, count: int) -> int:
+        """``count`` in every lane."""
+        return sum(count << shift for shift in self.shifts)
+
+    def batch_lanes(self, ghr):
+        """Per-event key, and per distinct history value its
+        ``(select, delta, plus)``.
+
+        ``delta`` is the signs as a packed row (``row + delta`` trains
+        toward taken); ``plus`` counts the ``+1`` signs.  ``select``
+        holds 2 in lane ``n - 1 - i`` for every ``+1`` sign ``i``, so
+        lane ``n - 1`` of ``row * select`` is twice the row's lanes
+        under a ``+1`` sign.
+        """
         values, keys = np.unique(
             ghr & np.uint64(self.history_mask), return_inverse=True
         )
         shifts = np.arange(self.history_bits, dtype=np.uint64)
-        bits = ((values[:, None] >> shifts) & np.uint64(1)).astype(
-            np.int64
-        )
         signs = np.ones((values.shape[0], self.history_bits + 1),
-                        dtype=np.int64)
-        signs[:, 1:] = 2 * bits - 1
-        return keys.reshape(-1).tolist(), list(map(tuple, signs.tolist()))
+                        dtype=np.uint8)
+        signs[:, 1:] = (values[:, None] >> shifts) & np.uint64(1)
+        # Little-endian lanes: the value in each lane's low byte.
+        positive = np.zeros(signs.shape + (self.lane // 8,), dtype=np.uint8)
+        positive[:, :, 0] = signs
+        size = signs.shape[1] * (self.lane // 8)
+        ones = self.lanes(1)
+        lanes = positive.tobytes()
+        delta = [
+            2 * int.from_bytes(lanes[at:at + size], "little") - ones
+            for at in range(0, len(lanes), size)
+        ]
+        lanes = (2 * positive[:, ::-1]).tobytes()
+        select = [
+            int.from_bytes(lanes[at:at + size], "little")
+            for at in range(0, len(lanes), size)
+        ]
+        plus = signs.sum(axis=1, dtype=np.int64).tolist()
+        return keys.reshape(-1).tolist(), select, delta, plus
 
     def state(self) -> dict:
         return {"weights": self.weights.rows(self.mask + 1)}
 
     def load_state(self, state: dict) -> None:
+        """Load a full list of ``entries`` rows; only rows that are not
+        all zeros are kept (the rest are made again on first touch)."""
         weights = _check_size(state["weights"], self.mask + 1, "weights")
         rows = WeightRows(self.history_bits + 1)
-        rows.update(enumerate(
-            _check_size(row, self.history_bits + 1, "weight row")
-            for row in weights
-        ))
+        for i, row in enumerate(weights):
+            row = _check_size(row, self.history_bits + 1, "weight row")
+            if any(row):
+                rows[i] = row
         self.weights = rows
 
 

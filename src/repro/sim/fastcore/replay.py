@@ -1,27 +1,26 @@
-"""Scalar replay over pre-decoded event streams.
+"""Replay over pre-decoded event streams.
 
 :func:`object_replay` is the ``object`` core: it steps the object
 predictor itself through the plan's events, one ``predict`` or
 ``update`` call at a time.  The rest of this module replays flat
-kernels (the ``fast`` core).
+kernels (the ``fast`` and ``numpy`` cores).
 
 Table kernels (bimodal, gshare, gselect, GAg, and local's pattern
-table) replay their 2-bit counters one *run* at a time:
+table) replay their 2-bit counters one *run* at a time, on every plan
+(:func:`replay_table`):
 
 * :func:`split_runs` regroups the events by table index (a counter
   only ever sees the events that index it), keeping stream order
   within a counter (:func:`~repro.sim.fastcore.kernels.group_events`),
-  then splits each counter's events into runs of one direction.
-* :func:`replay_runs` steps a transition list once per run on
-  ``uniform`` plans (every event reads then trains): a run's symbol is
-  its direction and ``min(length, 3)``, and only the first one or two
-  events of a run can mispredict, which numpy recovers from the state
-  each run starts in.  Only the counters the stream touches are read
-  from, and written back to, the kernel's table.
-* :func:`_replay_table_flags` walks events one by one when they carry
-  read / transition flags (squash train-PHT events are
-  transition-only; delayed-update mode splits reads from their
-  transitions, so runs stay short there).
+  then splits each counter's events into runs of one symbol: the
+  direction, plus the read / transition flags on plans that carry them
+  (squash train-PHT events are transition-only; delayed update splits
+  reads from their transitions).
+* :func:`scan_runs` finds the state leaving every run with a scan over
+  the 2-bit counter's function monoid, and :func:`settle_runs`
+  recovers the mispredicted events from the state each run starts in.
+  Only the counters the stream touches are read from, and written
+  back to, the kernel's table.
 
 The local kernel's indices come from
 :meth:`~repro.sim.fastcore.kernels.LocalKernel.event_indices`: its
@@ -37,14 +36,13 @@ only ones where it reads or trains.
 
 The other composite cases each have their own loop, fed per-event
 indices computed with numpy from the plan's ``pc`` and ``ghr`` arrays
-(chooser, component and local pattern slots, perceptron sign tuples,
+(chooser, component and local pattern slots, perceptron history keys,
 TAGE slots and tags); only their serial table state stays in Python:
 
 * :func:`_replay_tournament` — tournaments on plans with read /
   transition flags;
-* :func:`_replay_perceptron` — memoizes each touched row's outputs by
-  history value until that row next trains, without per-event flag
-  lookups where every event reads and trains;
+* :func:`_replay_perceptron` — each touched row as one lane-packed
+  int, its outputs memoized by history value until it next trains;
 * :func:`_replay_tage` — allocation and aging make every event depend
   on the state the previous one left.
 
@@ -57,8 +55,7 @@ plan's ``ev_branch`` array, and the driver builds all statistics
 vectorised.
 """
 
-import operator
-from collections import defaultdict
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -133,33 +130,101 @@ def split_runs(idx: np.ndarray, symbol: np.ndarray, entries: int,
                 sorted_symbol[start], first, last)
 
 
-def _run_end(state: int, taken: int, length: int) -> int:
-    return min(state + length, 3) if taken else max(state - length, 0)
+# -- the function monoid of a 2-bit saturating counter ------------------------
 
 
-#: A run's symbol is ``sym = 3 * taken + min(length, 3) - 1``; its code
-#: is ``4 * sym``, or ``24 + 24 * v + 4 * sym`` for a counter's first
-#: run with start value ``v``.  The code plus the state entering the
-#: run indexes the state leaving it (a first run ignores that state).
-_RUN_STEP = [
-    _run_end(state, sym // 3, sym % 3 + 1)
-    for sym in range(6) for state in range(4)
-] + [
-    _run_end(value, sym // 3, sym % 3 + 1)
-    for value in range(4) for sym in range(6) for state in range(4)
-]
+def _closure():
+    """Enumerate compositions of {identity, taken, not-taken}.
+
+    Functions are represented by their image over the domain (0, 1, 2,
+    3).  The four constant functions come first, so a function id below
+    4 is the constant state it yields.  Returns (funcs, index): the
+    images, and image -> function id.
+    """
+    identity = (0, 1, 2, 3)
+    taken = (1, 2, 3, 3)
+    not_taken = (0, 0, 1, 2)
+    funcs = [identity, taken, not_taken]
+    seen = set(funcs)
+    frontier = list(funcs)
+    while frontier:
+        new = []
+        for g in frontier:
+            for f in list(funcs):
+                composed = tuple(g[f[x]] for x in range(4))
+                if composed not in seen:
+                    seen.add(composed)
+                    funcs.append(composed)
+                    new.append(composed)
+        frontier = new
+    funcs.sort(key=lambda f: (len(set(f)) > 1, f))
+    assert funcs[:4] == [(v,) * 4 for v in range(4)]
+    return funcs, {f: i for i, f in enumerate(funcs)}
 
 
-def _walk(codes) -> bytearray:
-    """The state leaving each run, stepping once per run."""
-    ends = []
-    add = ends.append
-    state = 0
-    step = _RUN_STEP
-    for code in codes:
-        state = step[code + state]
-        add(state)
-    return bytearray(ends)
+def _tables():
+    funcs, index = _closure()
+    # comp[(g << 5) | f]: "apply f, then g".
+    comp = np.zeros(len(funcs) << 5, dtype=np.uint8)
+    for gi, g in enumerate(funcs):
+        for fi, f in enumerate(funcs):
+            comp[(gi << 5) | fi] = index[tuple(g[f[x]] for x in range(4))]
+    # settle[(f << 2) | v]: f applied to v, which is also the id of that
+    # constant function.
+    settle = np.array([f[v] for f in funcs for v in range(4)],
+                      dtype=np.uint8)
+    # run[(symbol << 2) | k]: a run of k (1..3, 3 saturates) events with
+    # symbol ``taken | read << 1 | trans << 2``; untrained runs are the
+    # identity.
+    run = np.zeros(32, dtype=np.uint8)
+    for symbol in range(8):
+        for k in range(1, 4):
+            image = tuple(range(4))
+            if symbol & 4:
+                for _ in range(k):
+                    image = tuple(
+                        min(x + 1, 3) if symbol & 1 else max(x - 1, 0)
+                        for x in image
+                    )
+            run[(symbol << 2) | k] = index[image]
+    return comp, settle, run
+
+
+_COMP, _SETTLE, _RUN = _tables()
+
+
+def scan_runs(runs: Runs, symbol: np.ndarray,
+              start_value: np.ndarray) -> np.ndarray:
+    """``uint8`` state leaving every run.
+
+    Each run's effect on its counter is one of the 18 functions above
+    (``symbol`` is its 3-bit ``taken | read << 1 | trans << 2`` code),
+    and a counter's first run becomes the constant function of the
+    state it leaves.  Constants absorb under composition, so a
+    Hillis–Steele inclusive scan over the whole run array needs no
+    segment boundaries: after the pass with step s, prefix r composes
+    runs r - 2s + 1 .. r, and a constant prefix (id below 4) is final,
+    so only the others stay active.  Each still lies inside its
+    counter, and so does the prefix it composes with next (or that one
+    is constant already).  At the end every id is the state its run
+    leaves.
+    """
+    flat = _RUN[(symbol << np.uint8(2)) | np.minimum(
+        runs.length, 3
+    ).astype(np.uint8)]
+    first = runs.first
+    flat[first] = _SETTLE[(flat[first] << np.uint8(2)) | start_value]
+    active = np.flatnonzero(flat > 3)
+    step = 1
+    while active.size:
+        key = flat[active].astype(np.uint16)
+        key <<= 5
+        key |= flat[active - step]
+        composed = _COMP[key]
+        flat[active] = composed
+        step <<= 1
+        active = active[composed > 3]
+    return flat
 
 
 #: Mispredicts at the head of a trained run, by ``4 * taken + state``:
@@ -215,43 +280,33 @@ def settle_runs(table, runs: Runs, ends: np.ndarray,
     return np.sort(runs.order[np.concatenate(found)])
 
 
-def replay_runs(table, idx: np.ndarray, taken: np.ndarray) -> np.ndarray:
-    """Replay read+train events on 2-bit counters, a run at a time.
+def replay_runs(table, idx: np.ndarray, taken: np.ndarray, read=None,
+                trans=None) -> np.ndarray:
+    """Replay events on 2-bit counters, a run at a time.
 
     ``table`` is the kernel's list of counters, updated in place;
-    ``idx`` and ``taken`` (``uint8``) are per-event arrays.  Returns the
-    event positions that mispredicted, ascending.
+    ``idx`` and ``taken`` (``uint8``) are per-event arrays.  Without
+    ``read``/``trans`` every event reads then trains; with them (per
+    event ``uint8`` flags) runs also split where the flags change.
+    Returns the event positions that mispredicted, ascending.
     """
     if idx.shape[0] == 0:
         return np.zeros(0, dtype=np.int64)
-    runs = split_runs(idx, taken, len(table))
+    if read is None:
+        runs = split_runs(idx, taken, len(table))
+        symbol = runs.symbol | np.uint8(6)
+    else:
+        runs = split_runs(idx, taken | (read << 1) | (trans << 2),
+                          len(table), symbol_bits=3)
+        symbol = runs.symbol
     start_value = start_values(table, runs)
-    codes = runs.symbol * np.uint8(3) + np.minimum(runs.length, 3).astype(
-        np.uint8
+    ends = scan_runs(runs, symbol, start_value)
+    if read is None:
+        return settle_runs(table, runs, ends, start_value, runs.symbol)
+    return settle_runs(
+        table, runs, ends, start_value, symbol & np.uint8(1),
+        reads=(symbol & 2) != 0, trains=(symbol & 4) != 0,
     )
-    codes -= np.uint8(1)
-    codes <<= np.uint8(2)
-    codes[runs.first] += np.uint8(24) + np.uint8(24) * start_value
-    ends = np.frombuffer(_walk(codes.tolist()), dtype=np.uint8)
-    return settle_runs(table, runs, ends, start_value, runs.symbol)
-
-
-def _replay_table_flags(table, idxs, takens, reads, transs):
-    mis = []
-    add = mis.append
-    k = 0
-    for i, t in zip(idxs, takens):
-        value = table[i]
-        if reads[k] and (value >= 2) != t:
-            add(k)
-        if transs[k]:
-            if t:
-                if value < 3:
-                    table[i] = value + 1
-            elif value:
-                table[i] = value - 1
-        k += 1
-    return mis
 
 
 def _indices(kernel, pc: np.ndarray, ghr: np.ndarray, taken: np.ndarray,
@@ -355,88 +410,82 @@ def _replay_tournament(kernel, pc, ghr, taken, read, trans):
 
 
 def _replay_perceptron(kernel, pc, ghr, taken, read, trans):
-    """Perceptron loop with each row's outputs memoized between its
-    trainings.
+    """Perceptron loop over lane-packed rows, each row's outputs
+    memoized between its trainings.
+
+    Every row the chunk touches is read from ``kernel.weights`` (made
+    on first touch), packed into one int
+    (:meth:`~repro.sim.fastcore.kernels.PerceptronKernel.pack`) and
+    written back in place at the end.  A row's output for a history key
+    is lane ``n - 1`` of one product with the key's ``select`` (twice
+    the lanes under a ``+1`` sign), less the row's weight sum and the
+    key's bias offset ``2 * plus * bias``.  Training adds (taken) or
+    subtracts the key's ``delta`` and moves the sum by ``2 * plus - n``;
+    the row is unpacked and clipped only when a weight has left
+    ``[-limit, limit]``, which shows as a lane with bit ``m`` set, or
+    clear after adding ``2 * limit + 1`` to every lane.  Otherwise no
+    lane borrows or carries.
 
     A row's weights only change when it trains, so its output for a
-    sign key stays valid until then: one ``{key: output}`` dict per
-    row the chunk touches, cleared when that row trains.  Training
-    follows the kernel's rule (wrong, or ``|output| <= threshold``),
-    which for a non-negative threshold is ``output <= threshold`` on a
-    taken event and ``output >= -threshold`` on a not-taken one.  A
-    chunk whose events all read and train (every chunk of a
-    ``uniform`` plan) runs a loop without the per-event flag lookups.
+    key stays valid until then: one ``{key: output}`` dict per row,
+    cleared when that row trains.  Training follows the kernel's rule
+    (wrong, or ``|output| <= threshold``), which for a non-negative
+    threshold is ``output <= threshold`` on a taken event and
+    ``output >= -threshold`` on a not-taken one.
     """
-    rows = (pc & kernel.mask).tolist()
-    keys, sign_tuples = kernel.batch_signs(ghr)
-    takens = taken.tolist()
-    if read.all() and trans.all():
-        return _perceptron_uniform(kernel, rows, keys, sign_tuples, takens)
-    reads = read.tolist()
-    transs = trans.tolist()
+    touched, slots = np.unique(pc & kernel.mask, return_inverse=True)
     weights = kernel.weights
+    rows = [weights[row] for row in touched.tolist()]
+    packed = list(map(kernel.pack, rows))
+    sums = list(map(sum, rows))
+    keys, select, delta, plus = kernel.batch_lanes(ghr)
+    width = kernel.history_bits + 1
+    step = [2 * p - width for p in plus]
+    offset = [2 * p * kernel.bias for p in plus]
+    shift = kernel.lane * (width - 1)
+    lane_mask = (1 << kernel.lane) - 1
+    high = kernel.lanes(1 << kernel.high_bit)
+    fill = kernel.lanes(2 * kernel.weight_limit + 1)
+    limit = kernel.weight_limit
     threshold = kernel.threshold
-    clip = kernel.clip.__getitem__
-    mul = operator.mul
-    plus = operator.add
-    minus = operator.sub
-    memos = defaultdict(dict)
+    if read.all() and trans.all():
+        reads = transs = itertools.repeat(1)
+    else:
+        reads = read.tolist()
+        transs = trans.tolist()
+    memos = [{} for _ in rows]
     mis = []
     add = mis.append
     k = 0
-    for row, key, t in zip(rows, keys, takens):
-        memo = memos[row]
+    for slot, key, t, r, tr in zip(slots.reshape(-1).tolist(), keys,
+                                   taken.tolist(), reads, transs):
+        memo = memos[slot]
         output = memo.get(key)
         if output is None:
-            output = memo[key] = sum(
-                map(mul, weights[row], sign_tuples[key])
-            )
-        if reads[k] and (output >= 0) != t:
+            output = memo[key] = (
+                ((packed[slot] * select[key]) >> shift) & lane_mask
+            ) - sums[slot] - offset[key]
+        if r and (output >= 0) != t:
             add(k)
-        if transs[k] and (
-            output <= threshold if t else output >= -threshold
-        ):
-            w = weights[row]
-            w[:] = map(clip, map(plus if t else minus, w, sign_tuples[key]))
+        if tr and (output <= threshold if t else output >= -threshold):
+            if t:
+                row = packed[slot] + delta[key]
+                total = sums[slot] + step[key]
+            else:
+                row = packed[slot] - delta[key]
+                total = sums[slot] - step[key]
+            if row & high or (row + fill) & high != high:
+                clipped = [
+                    max(-limit, min(limit, w)) for w in kernel.unpack(row)
+                ]
+                row = kernel.pack(clipped)
+                total = sum(clipped)
+            packed[slot] = row
+            sums[slot] = total
             memo.clear()
         k += 1
-    return mis
-
-
-def _perceptron_uniform(kernel, rows, keys, sign_tuples, takens):
-    """:func:`_replay_perceptron` where every event reads and trains."""
-    weights = kernel.weights
-    threshold = kernel.threshold
-    clip = kernel.clip.__getitem__
-    mul = operator.mul
-    plus = operator.add
-    minus = operator.sub
-    memos = defaultdict(dict)
-    mis = []
-    add = mis.append
-    k = 0
-    for row, key, t in zip(rows, keys, takens):
-        memo = memos[row]
-        output = memo.get(key)
-        if output is None:
-            output = memo[key] = sum(
-                map(mul, weights[row], sign_tuples[key])
-            )
-        if t:
-            if output < 0:
-                add(k)
-            if output <= threshold:
-                w = weights[row]
-                w[:] = map(clip, map(plus, w, sign_tuples[key]))
-                memo.clear()
-        else:
-            if output >= 0:
-                add(k)
-            if output >= -threshold:
-                w = weights[row]
-                w[:] = map(clip, map(minus, w, sign_tuples[key]))
-                memo.clear()
-        k += 1
+    for w, row in zip(rows, packed):
+        w[:] = kernel.unpack(row)
     return mis
 
 
@@ -566,18 +615,23 @@ def fast_replay(kernel, plan: ReplayPlan) -> np.ndarray:
     loop = _COMPOSITE_LOOPS.get(type(kernel))
     if loop is not None:
         return ev_branch[_replay_chunked(loop, kernel, plan)]
+    return replay_table(kernel, plan)
+
+
+def replay_table(kernel, plan: ReplayPlan) -> np.ndarray:
+    """Replay the plan through a table or local kernel's counters
+    (:func:`replay_runs`); mispredicted branch indices, ascending."""
     taken = plan.per_event(plan.taken)
     idx = _indices(
         kernel, plan.per_event(plan.pc), plan.per_event(plan.ghr), taken,
         plan.ev_trans,
     )
     if plan.uniform:
-        return ev_branch[replay_runs(kernel.table, idx, taken)]
-    mis = _replay_table_flags(
-        kernel.table, idx.tolist(), taken.tolist(),
-        plan.ev_read.tolist(), plan.ev_trans.tolist(),
-    )
-    return ev_branch[np.asarray(mis, dtype=np.int64)]
+        mis = replay_runs(kernel.table, idx, taken)
+    else:
+        mis = replay_runs(kernel.table, idx, taken, plan.ev_read,
+                          plan.ev_trans)
+    return plan.ev_branch[mis]
 
 
 def object_replay(predictor, plan: ReplayPlan,

@@ -8,13 +8,16 @@ of the replay benchmark gates (``benchmarks/test_bench_replay.py``,
 
 * :func:`replay_table_uniform` — every event reads then trains one
   counter of a table kernel (bimodal, gshare, gselect, GAg).
+* :func:`replay_table_flags` — a table kernel's events with read /
+  transition flags (delayed update, ``sfp.update_pht``).
 * :func:`replay_local` — the local kernel: per-slot history shifted at
   train events, feeding a pattern table; events carry read/transition
   flags.
 * :func:`oracle_replay` — the fast core's previous path for those
   kernels on one replay plan.
 * :func:`replay_perceptron` — the perceptron loop recomputing every
-  output as a dot product; :func:`oracle_composite` runs it (or the
+  output as a dot product of the row's list and the history's sign
+  tuple (:func:`sign_tuples`); :func:`oracle_composite` runs it (or the
   tournament loop) over a plan a chunk at a time.
 * :func:`simulate_frontend_loop` — the fetch replay, branch by branch.
 
@@ -146,9 +149,27 @@ def replay_local(kernel, pcs, takens, reads, transs):
     return mis
 
 
+def replay_table_flags(table, idxs, takens, reads, transs):
+    mis = []
+    add = mis.append
+    k = 0
+    for i, t in zip(idxs, takens):
+        value = table[i]
+        if reads[k] and (value >= 2) != t:
+            add(k)
+        if transs[k]:
+            if t:
+                if value < 3:
+                    table[i] = value + 1
+            elif value:
+                table[i] = value - 1
+        k += 1
+    return mis
+
+
 def oracle_replay(kernel, plan) -> np.ndarray:
-    """Mispredicted branch indices of a table or local kernel on a
-    ``uniform`` plan (or any plan, for local), one event at a time."""
+    """Mispredicted branch indices of a table or local kernel, one
+    event at a time."""
     ev_branch = plan.ev_branch
     takens = plan.taken[ev_branch].tolist()
     if isinstance(kernel, LocalKernel):
@@ -157,13 +178,42 @@ def oracle_replay(kernel, plan) -> np.ndarray:
             plan.ev_read.tolist(), plan.ev_trans.tolist(),
         )
     else:
-        if not plan.uniform:
-            raise ValueError("the table oracle replays uniform plans only")
         idxs = kernel.batch_index(
             plan.pc[ev_branch], plan.ghr[ev_branch]
         ).tolist()
-        mis = replay_table_uniform(kernel.table, idxs, takens)
+        if plan.uniform:
+            mis = replay_table_uniform(kernel.table, idxs, takens)
+        else:
+            mis = replay_table_flags(
+                kernel.table, idxs, takens, plan.ev_read.tolist(),
+                plan.ev_trans.tolist(),
+            )
     return ev_branch[np.asarray(mis, dtype=np.int64)]
+
+
+def sign_tuples(kernel, ghr):
+    """(per-event key, sign tuple ``(1, s_1 .. s_h)`` per key): one
+    shared tuple per distinct history value."""
+    values, keys = np.unique(
+        ghr & np.uint64(kernel.history_mask), return_inverse=True
+    )
+    shifts = np.arange(kernel.history_bits, dtype=np.uint64)
+    bits = ((values[:, None] >> shifts) & np.uint64(1)).astype(np.int64)
+    signs = np.ones((values.shape[0], kernel.history_bits + 1),
+                    dtype=np.int64)
+    signs[:, 1:] = 2 * bits - 1
+    return keys.reshape(-1).tolist(), list(map(tuple, signs.tolist()))
+
+
+def clipper(limit: int):
+    """A function clamping ``v`` in ``[-limit - 1, limit + 1]`` to
+    ``[-limit, limit]``: a lookup in a table up to limits of 2**16
+    (negative ``v`` index from the end), a comparison beyond."""
+    if limit >> 16:
+        return lambda v: max(-limit, min(limit, v))
+    upper = [min(v, limit) for v in range(limit + 2)]
+    lower = [max(-v, -limit) for v in range(limit + 1, 0, -1)]
+    return (upper + lower).__getitem__
 
 
 def replay_perceptron(kernel, pc, ghr, taken, read, trans):
@@ -171,10 +221,10 @@ def replay_perceptron(kernel, pc, ghr, taken, read, trans):
     reads = read.tolist()
     transs = trans.tolist()
     rows = (pc & kernel.mask).tolist()
-    keys, sign_tuples = kernel.batch_signs(ghr)
+    keys, signs_of = sign_tuples(kernel, ghr)
     weights = kernel.weights
     threshold = kernel.threshold
-    clip = kernel.clip.__getitem__
+    clip = clipper(kernel.weight_limit)
     mul = operator.mul
     plus = operator.add
     minus = operator.sub
@@ -183,7 +233,7 @@ def replay_perceptron(kernel, pc, ghr, taken, read, trans):
     k = 0
     for row, t in zip(rows, takens):
         w = weights[row]
-        signs = sign_tuples[keys[k]]
+        signs = signs_of[keys[k]]
         output = sum(map(mul, w, signs))
         wrong = (output >= 0) != t
         if reads[k] and wrong:

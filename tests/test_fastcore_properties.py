@@ -206,6 +206,7 @@ def test_perceptron_untouched_rows_round_trip(duplicate):
     assert sorted(kernel.weights) == [3, 70]
     clone = duplicate(kernel)
     assert type(clone.weights) is WeightRows
+    assert sorted(clone.weights) == [3, 70]
     assert clone.state() == kernel.state()
     assert len(clone.state()["weights"]) == 4096
     _train(clone, (4000, True), ghr=5)

@@ -2,7 +2,7 @@
 oracles.
 
 Hypothesis drives random streams through the composed tournament
-replay, the memoized perceptron loop and the vectorised fetch replay,
+replay, the lane-packed perceptron loop and the vectorised fetch replay,
 and through the per-event loops they replace (``_replay_tournament``
 and ``tests/replay_oracle.py``).  Mispredict positions, every table,
 local histories, perceptron weights and fetch cycle breakdowns must
@@ -10,6 +10,7 @@ match exactly.
 """
 
 import copy
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,14 +25,25 @@ from repro.sim.fastcore.kernels import (
     PerceptronKernel,
     TournamentKernel,
 )
+from repro.sim.fastcore import fast_replay, replay
 from repro.sim.fastcore.replay import (
     _replay_perceptron,
     _replay_tournament,
     replay_tournament_runs,
 )
 from repro.trace.container import Trace, TraceMeta
-from tests.replay_oracle import replay_perceptron, simulate_frontend_loop
-from tests.test_replay_runs import SIZES, local_streams, start_table
+from tests.replay_oracle import (
+    make_plan,
+    replay_perceptron,
+    simulate_frontend_loop,
+)
+from tests.test_replay_runs import (
+    FLAG_KINDS,
+    SIZES,
+    flag_arrays,
+    local_streams,
+    start_table,
+)
 
 pytestmark = pytest.mark.fastcore
 
@@ -77,11 +89,15 @@ def test_composed_tournament_matches_loop(stream):
 def perceptron_streams(draw):
     """A perceptron, fresh (rows made on first touch) or with random
     start weights, and a stream whose pcs and histories repeat, so
-    outputs are reused between trainings."""
+    outputs are reused between trainings.  Weight limits cover 0-9,
+    127 and two that widen the lanes, histories 0-64 bits;
+    one-direction streams push weights into the clip."""
     entries = draw(st.sampled_from((1, 4, 64, 4096)))
-    history_bits = draw(st.sampled_from((0, 1, 5, 12)))
-    limit = draw(st.sampled_from((1, 2, 3, 127)))
-    threshold = draw(st.sampled_from((0, 1, 5, 37)))
+    history_bits = draw(st.sampled_from((0, 1, 5, 12)) | st.integers(1, 64))
+    # The three widest need 32-, 64- and 128-bit lanes.
+    limit = draw(st.integers(0, 9)
+                 | st.sampled_from((127, 2**15 - 1, 2**31 - 1, 2**62 - 1)))
+    threshold = draw(st.sampled_from((0, 1, 5, 37, 200)))
     kernel = PerceptronKernel(entries, history_bits, limit, threshold)
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
@@ -91,22 +107,17 @@ def perceptron_streams(draw):
         ).tolist()})
     count = draw(st.integers(0, 300))
     pcs = rng.integers(0, 4 * entries, draw(st.integers(1, 6)))
-    histories = rng.integers(0, 1 << 16, draw(st.integers(1, 6)))
+    histories = rng.integers(0, 2**64, draw(st.integers(1, 6)),
+                             dtype=np.uint64)
     pc = rng.choice(pcs, count).astype(np.int64)
     ghr = rng.choice(histories, count).astype(np.uint64)
-    taken = (rng.random(count) < draw(st.sampled_from([0.5, 0.9]))).astype(
-        np.uint8
-    )
-    if draw(st.booleans()):
-        read = (rng.random(count) < 0.7).astype(np.uint8)
-        trans = (rng.random(count) < 0.7).astype(np.uint8)
-    else:
-        read = np.ones(count, dtype=np.uint8)
-        trans = np.ones(count, dtype=np.uint8)
+    bias = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    taken = (rng.random(count) < bias).astype(np.uint8)
+    read, trans = flag_arrays(draw(st.sampled_from(FLAG_KINDS)), rng, count)
     return kernel, pc, ghr, taken, read, trans
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(stream=perceptron_streams())
 def test_memoized_perceptron_matches_loop(stream):
     kernel, pc, ghr, taken, read, trans = stream
@@ -116,6 +127,42 @@ def test_memoized_perceptron_matches_loop(stream):
     assert got == expected
     assert kernel.state() == oracle.state()
     assert sorted(kernel.weights) == sorted(oracle.weights)
+
+
+@settings(max_examples=50, deadline=None)
+@given(stream=perceptron_streams(), chunk=st.integers(1, 40))
+def test_chunked_perceptron_matches_loop(stream, chunk):
+    """Rows packed at every chunk's start and written back at its end
+    carry the state across chunks exactly."""
+    kernel, pc, ghr, taken, read, trans = stream
+    oracle = copy.deepcopy(kernel)
+    expected = replay_perceptron(oracle, pc, ghr, taken, read, trans)
+    with mock.patch.object(replay, "CHUNK_EVENTS", chunk):
+        got = fast_replay(kernel, make_plan(pc, taken, read, trans, ghr))
+    assert got.tolist() == expected
+    assert kernel.state() == oracle.state()
+
+
+@pytest.mark.parametrize("limit", list(range(10)) + [127])
+@pytest.mark.parametrize("history_bits", [1, 16, 64])
+@pytest.mark.parametrize("taken", [0, 1])
+def test_perceptron_lanes_clip(limit, history_bits, taken):
+    """One row trained in one direction on alternating histories until
+    its weights saturate: every lane reaches the clip, both ways."""
+    kernel = PerceptronKernel(4, history_bits, limit, threshold=10**6)
+    oracle = copy.deepcopy(kernel)
+    count = 2 * limit + 6
+    ghr = np.tile(np.array([0, 2**history_bits - 1], dtype=np.uint64),
+                  count)
+    pc = np.full(2 * count, 2, dtype=np.int64)
+    outcome = np.full(2 * count, taken, dtype=np.uint8)
+    ones = np.ones(2 * count, dtype=np.uint8)
+    expected = replay_perceptron(oracle, pc, ghr, outcome, ones, ones)
+    got = _replay_perceptron(kernel, pc, ghr, outcome, ones, ones)
+    assert got == expected
+    assert kernel.state() == oracle.state()
+    bias = limit if taken else -limit
+    assert kernel.weights[2][0] == bias
 
 
 def test_perceptron_rejects_negative_threshold():

@@ -1,4 +1,4 @@
-"""The grouped run replay against the per-event oracles.
+"""The run scan against the per-event oracles.
 
 Hypothesis drives random event streams (indices, outcomes, read and
 transition flags) through the replay paths of ``repro.sim.fastcore``, and
@@ -6,10 +6,12 @@ through the object predictors (:func:`object_replay`) or the per-event
 loops of ``tests/replay_oracle.py``; mispredict positions, final tables
 and local histories must match exactly.  The
 streams draw their indices from a small pool, so counters see long
-runs as well as alternating ones, and cover saturated and random start
-tables, tables and history tables beyond 65,536 entries, and local
-histories set with ``load_state`` (including bits above the history
-length).
+runs as well as alternating ones; their events read and train, or are
+read-only, train-only and mixed (:data:`FLAG_KINDS`).  They cover
+saturated and random start tables, tables and history tables beyond
+65,536 entries (with keys too wide to pack, the argsort branch of
+``group_events``), and local histories set with ``load_state``
+(including bits above the history length).
 """
 
 import copy
@@ -36,7 +38,9 @@ from repro.sim.fastcore.replay import replay_runs
 from tests.replay_oracle import (
     make_plan,
     object_state,
+    oracle_replay,
     replay_local,
+    replay_table_flags,
     replay_table_uniform,
 )
 
@@ -69,14 +73,34 @@ def events(draw, span, flags):
     value = np.repeat(rng.choice(pool, count), repeats)
     taken = np.repeat(rng.random(count) < bias, repeats)
     n = int(value.shape[0])
-    if flags and draw(st.booleans()):
+    read, trans = flag_arrays(
+        draw(st.sampled_from(FLAG_KINDS)) if flags else "uniform", rng, n
+    )
+    return (value.astype(np.int64), taken.astype(np.uint8), read, trans)
+
+
+#: How a stream's events read and train: all read+train; read-only,
+#: train-only and read+train events at random (flags drawn
+#: independently); read-only and train-only events alternating at
+#: random, as delayed update produces; every event read-only; every
+#: event train-only.
+FLAG_KINDS = ("uniform", "random", "split", "read", "train")
+
+
+def flag_arrays(kind, rng, n):
+    """``uint8`` per-event (read, trans) flags of one of
+    :data:`FLAG_KINDS`."""
+    ones = np.ones(n, dtype=bool)
+    if kind == "random":
         read = rng.random(n) < 0.7
         trans = rng.random(n) < 0.7
+    elif kind == "split":
+        read = rng.random(n) < 0.5
+        trans = ~read
     else:
-        read = np.ones(n, dtype=bool)
-        trans = np.ones(n, dtype=bool)
-    return (value.astype(np.int64), taken.astype(np.uint8),
-            read.astype(np.uint8), trans.astype(np.uint8))
+        read = ones if kind != "train" else ~ones
+        trans = ones if kind != "read" else ~ones
+    return read.astype(np.uint8), trans.astype(np.uint8)
 
 
 @st.composite
@@ -100,6 +124,44 @@ def test_replay_runs_matches_oracle(stream):
     assert table == expected_table
 
 
+@settings(max_examples=200, deadline=None)
+@given(stream=table_streams(flags=True))
+def test_flagged_scan_matches_oracle(stream):
+    """The run scan on read-only, train-only and mixed events."""
+    table, idx, taken, read, trans = stream
+    expected_table = list(table)
+    expected = replay_table_flags(
+        expected_table, idx.tolist(), taken.tolist(), read.tolist(),
+        trans.tolist(),
+    )
+    got = replay_runs(table, idx, taken, read, trans)
+    assert got.tolist() == expected
+    assert table == expected_table
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(FLAG_KINDS), seed=st.integers(0, 2**32 - 1))
+def test_scan_on_wide_keys_matches_oracle(kind, seed):
+    """2**17 counters and 20,000 events: index, position and symbol no
+    longer pack into 32 bits, so ``group_events`` takes its argsort
+    branch."""
+    rng = np.random.default_rng(seed)
+    entries = 1 << 17
+    count = 20000
+    assert 17 + (count - 1).bit_length() + 1 > 32
+    pool = rng.integers(0, entries, 40)
+    pc = np.repeat(rng.choice(pool, count // 4), 4)
+    taken = np.repeat(rng.random(count // 4) < 0.8, 4).astype(np.uint8)
+    read, trans = flag_arrays(kind, rng, count)
+    table = rng.integers(0, 4, entries).tolist()
+    plan = make_plan(pc, taken, read, trans)
+    expected_kernel = _table_kernel(table)
+    expected = oracle_replay(expected_kernel, plan)
+    kernel = _table_kernel(table)
+    assert fast_replay(kernel, plan).tolist() == expected.tolist()
+    assert kernel.table == expected_kernel.table
+
+
 def _table_kernel(table):
     kernel = BimodalKernel(len(table))
     kernel.load_state({"table": table})
@@ -109,8 +171,8 @@ def _table_kernel(table):
 @settings(max_examples=150, deadline=None)
 @given(stream=table_streams(flags=True))
 def test_table_kernel_cores_match_per_event_replay(stream):
-    """fast (runs or flags loop) and numpy (run scan) against the object
-    predictor, one event at a time."""
+    """fast and numpy (both the run scan) against the object predictor,
+    one event at a time."""
     table, idx, taken, read, trans = stream
     plan = make_plan(idx, taken, read, trans)
     reference = BimodalPredictor(len(table))

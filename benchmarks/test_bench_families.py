@@ -1,4 +1,4 @@
-"""Families gate: E11's composite kernels and E13's fetch replay against
+"""Families gate: E11's composite families and E13's fetch replay against
 their per-event oracles.
 
 Run with::
@@ -22,7 +22,7 @@ The tournament and perceptron replay under E11's plain and SFP+PGU
 front ends.  Replay plans and fetch flags are built before timing, and
 each side's fastest of :data:`ROUNDS` passes counts.
 
-* ``bench_families_gate`` — mispredicted branches, final kernel state
+* ``bench_families_gate`` — mispredicted branches, final predictor state
   and fetch results must be bit-identical, and each path must reach its
   :data:`FLOORS` ratio of the oracle's branches per second.
 
@@ -40,10 +40,11 @@ from repro.pipeline import BTBConfig
 from repro.pipeline.fetchsim import FetchModel, simulate_frontend
 from repro.predictors import PGUConfig, SFPConfig, make_predictor
 from repro.sim import SimOptions, simulate
-from repro.sim.fastcore import build_plan, fast_replay, kernel_from_predictor
+from repro.sim.fastcore import build_plan, fast_replay
 from repro.sim.fastcore.replay import _replay_tournament
 from repro.workloads import all_workloads
 from tests.replay_oracle import (
+    object_state,
     oracle_composite,
     replay_perceptron,
     simulate_frontend_loop,
@@ -71,11 +72,11 @@ def _replay_pass(family, replay, plans):
     seconds = 0.0
     outputs = []
     for plan in plans:
-        kernel = kernel_from_predictor(FAMILIES[family](ENTRIES))
+        predictor = FAMILIES[family](ENTRIES)
         start = time.perf_counter()
-        mis = replay(kernel, plan)
+        mis = replay(predictor, plan)
         seconds += time.perf_counter() - start
-        outputs.append((mis.tolist(), kernel.state()))
+        outputs.append((mis.tolist(), object_state(predictor)))
     return seconds, outputs
 
 

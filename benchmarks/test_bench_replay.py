@@ -28,9 +28,9 @@ import time
 from benchmarks.conftest import BENCH_SCALE, BENCH_SUBSET, emit_gate, run_once
 from repro.predictors import PGUConfig, SFPConfig, make_predictor
 from repro.sim import SimOptions
-from repro.sim.fastcore import build_plan, fast_replay, kernel_from_predictor
+from repro.sim.fastcore import build_plan, fast_replay
 from repro.workloads import get_workload
-from tests.replay_oracle import oracle_replay
+from tests.replay_oracle import object_state, oracle_replay
 
 #: Minimum accepted branches-per-second ratio, grouped vs per-event.
 SPEEDUP_FLOOR = 2.0
@@ -55,13 +55,11 @@ def _replay_pass(replay, plans):
     for family in FAMILIES:
         for size in SIZES:
             for plan in plans:
-                kernel = kernel_from_predictor(
-                    make_predictor(family, entries=size)
-                )
+                predictor = make_predictor(family, entries=size)
                 start = time.perf_counter()
-                mis = replay(kernel, plan)
+                mis = replay(predictor, plan)
                 seconds[family] += time.perf_counter() - start
-                outputs.append((mis.tolist(), kernel.state()))
+                outputs.append((mis.tolist(), object_state(predictor)))
     return seconds, outputs
 
 

@@ -90,7 +90,6 @@ def _metrics_scope(args):
         sink = None
         if path:
             sink = stack.enter_context(telemetry.JsonlSink(path))
-            stack.enter_context(telemetry.use_sink(sink))
             sink.emit({
                 "event": "header",
                 "schema": 1,

@@ -1,6 +1,6 @@
 """Dominator analysis over the CFG (iterative dataflow formulation)."""
 
-from typing import Dict, Optional, Set
+from typing import Dict, Set
 
 from repro.compiler.cfg import CFG
 
@@ -42,29 +42,3 @@ def dominators(cfg: CFG) -> Dict[int, Set[int]]:
                 changed = True
     return dom
 
-
-def immediate_dominators(cfg: CFG) -> Dict[int, Optional[int]]:
-    """Map each reachable block to its immediate dominator (entry -> None).
-
-    The immediate dominator is the unique strict dominator that is
-    dominated by every other strict dominator.
-    """
-    dom = dominators(cfg)
-    idom: Dict[int, Optional[int]] = {}
-    for block, doms in dom.items():
-        strict = doms - {block}
-        if not strict:
-            idom[block] = None
-            continue
-        candidate = None
-        for d in strict:
-            if all(d in dom[other] for other in strict):
-                candidate = d
-                break
-        idom[block] = candidate
-    return idom
-
-
-def dominates(dom: Dict[int, Set[int]], a: int, b: int) -> bool:
-    """True if block ``a`` dominates block ``b``."""
-    return a in dom.get(b, set())

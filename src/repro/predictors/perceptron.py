@@ -83,10 +83,5 @@ class PerceptronPredictor(BranchPredictor):
     def storage_bits(self) -> int:
         return self.entries * (self.history_bits + 1) * 8
 
-    def state(self) -> dict:
-        """The weights as a full list of rows, shaped like
-        :meth:`repro.sim.fastcore.kernels.PerceptronKernel.state`."""
-        return {"weights": self.weights.rows(self.entries)}
-
     def reset(self) -> None:
         self.weights = WeightRows(self.history_bits + 1)

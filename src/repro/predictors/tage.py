@@ -13,32 +13,7 @@ aging, and allocation on mispredictions.  (No loop predictor or
 statistical corrector — hence "lite".)
 """
 
-from typing import List
-
 from repro.predictors.base import BranchPredictor, SaturatingCounters
-
-
-class _TaggedTable:
-    __slots__ = ("mask", "tags", "counters", "useful", "history_bits",
-                 "tag_bits")
-
-    def __init__(self, entries: int, history_bits: int, tag_bits: int):
-        self.mask = entries - 1
-        self.tags = [0] * entries
-        self.counters = [3] * entries  # 3-bit counter, 0..7, >=4 taken
-        self.useful = [0] * entries
-        self.history_bits = history_bits
-        self.tag_bits = tag_bits
-
-    def index(self, pc: int, history: int) -> int:
-        folded = _fold(history & ((1 << self.history_bits) - 1),
-                       self.mask.bit_length())
-        return (pc ^ folded ^ (pc >> 3)) & self.mask
-
-    def tag(self, pc: int, history: int) -> int:
-        folded = _fold(history & ((1 << self.history_bits) - 1),
-                       self.tag_bits)
-        return (pc ^ (folded << 1) ^ (pc >> 5)) & ((1 << self.tag_bits) - 1)
 
 
 def _fold(value: int, bits: int) -> int:
@@ -55,6 +30,11 @@ def _fold(value: int, bits: int) -> int:
 
 class TagePredictor(BranchPredictor):
     """TAGE with a bimodal base and geometric tagged components.
+
+    Tagged table ``i`` (shortest history first) is ``tags[i]``, 3-bit
+    ``counters[i]`` (0..7, 4 and up predict taken) and 2-bit
+    ``useful[i]``, one list each; ``ticks`` counts mispredicted updates
+    toward the next global aging.
 
     Args:
         base_entries: bimodal base table size.
@@ -87,71 +67,77 @@ class TagePredictor(BranchPredictor):
             )
             lengths.append(max(1, int(round(min_history * ratio))))
         self.history_lengths = lengths
-        self.tables: List[_TaggedTable] = [
-            _TaggedTable(table_entries, length, tag_bits)
-            for length in lengths
-        ]
+        self.tags = [[0] * table_entries for _ in lengths]
+        self.counters = [[3] * table_entries for _ in lengths]
+        self.useful = [[0] * table_entries for _ in lengths]
+        self.ticks = 0
         self.table_entries = table_entries
+        self.mask = table_entries - 1
         self.tag_bits = tag_bits
-        self._ticks = 0
         self.name = (
             f"tage-{num_tables}x{table_entries}"
             f"(h{lengths[0]}..{lengths[-1]})"
         )
 
+    def _slot(self, pc: int, history: int, length: int) -> int:
+        """Slot of ``(pc, history)`` in the table of history ``length``."""
+        folded = _fold(history & ((1 << length) - 1), self.mask.bit_length())
+        return (pc ^ folded ^ (pc >> 3)) & self.mask
+
+    def _tag(self, pc: int, history: int, length: int) -> int:
+        """Tag of ``(pc, history)`` in the table of history ``length``."""
+        folded = _fold(history & ((1 << length) - 1), self.tag_bits)
+        return (pc ^ (folded << 1) ^ (pc >> 5)) & ((1 << self.tag_bits) - 1)
+
     # -- prediction -----------------------------------------------------------
 
     def _find(self, pc: int, history: int):
-        """(provider_index, alt_index): longest and next-longest hits."""
-        provider = alt = -1
-        for index in range(len(self.tables) - 1, -1, -1):
-            table = self.tables[index]
-            slot = table.index(pc, history)
-            if table.tags[slot] == table.tag(pc, history):
+        """(provider, provider slot, alt, alt slot): the longest and
+        next-longest hits, -1 where there is none."""
+        provider = alt = pslot = aslot = -1
+        for index in range(len(self.tags) - 1, -1, -1):
+            length = self.history_lengths[index]
+            slot = self._slot(pc, history, length)
+            if self.tags[index][slot] == self._tag(pc, history, length):
                 if provider < 0:
-                    provider = index
-                elif alt < 0:
-                    alt = index
+                    provider, pslot = index, slot
+                else:
+                    alt, aslot = index, slot
                     break
-        return provider, alt
-
-    def _component_prediction(self, index: int, pc: int,
-                              history: int) -> bool:
-        table = self.tables[index]
-        return table.counters[table.index(pc, history)] >= 4
+        return provider, pslot, alt, aslot
 
     def predict(self, pc: int, history: int) -> bool:
-        provider, _ = self._find(pc, history)
+        provider, pslot, _, _ = self._find(pc, history)
         if provider >= 0:
-            return self._component_prediction(provider, pc, history)
+            return self.counters[provider][pslot] >= 4
         return self.base.predict(pc)
 
     # -- training ---------------------------------------------------------------
 
     def update(self, pc: int, history: int, taken: bool) -> None:
-        provider, alt = self._find(pc, history)
+        provider, slot, alt, aslot = self._find(pc, history)
         if provider >= 0:
-            table = self.tables[provider]
-            slot = table.index(pc, history)
-            prediction = table.counters[slot] >= 4
+            counters = self.counters[provider]
+            useful = self.useful[provider]
+            prediction = counters[slot] >= 4
             alt_prediction = (
-                self._component_prediction(alt, pc, history)
+                self.counters[alt][aslot] >= 4
                 if alt >= 0
                 else self.base.predict(pc)
             )
             # Useful counter: provider right where altpred was wrong.
             if prediction != alt_prediction:
                 if prediction == taken:
-                    if table.useful[slot] < 3:
-                        table.useful[slot] += 1
-                elif table.useful[slot] > 0:
-                    table.useful[slot] -= 1
+                    if useful[slot] < 3:
+                        useful[slot] += 1
+                elif useful[slot] > 0:
+                    useful[slot] -= 1
             # Train the provider counter.
-            value = table.counters[slot]
+            value = counters[slot]
             if taken and value < 7:
-                table.counters[slot] = value + 1
+                counters[slot] = value + 1
             elif not taken and value > 0:
-                table.counters[slot] = value - 1
+                counters[slot] = value - 1
         else:
             prediction = self.base.predict(pc)
             self.base.update(pc, taken)
@@ -159,42 +145,42 @@ class TagePredictor(BranchPredictor):
             return
         # Allocate a longer-history entry on a misprediction.
         start = provider + 1
-        for index in range(start, len(self.tables)):
-            table = self.tables[index]
-            slot = table.index(pc, history)
-            if table.useful[slot] == 0:
-                table.tags[slot] = table.tag(pc, history)
-                table.counters[slot] = 4 if taken else 3
+        later = range(start, len(self.tags))
+        slots = [self._slot(pc, history, self.history_lengths[index])
+                 for index in later]
+        for index, slot in zip(later, slots):
+            if self.useful[index][slot] == 0:
+                self.tags[index][slot] = self._tag(
+                    pc, history, self.history_lengths[index]
+                )
+                self.counters[index][slot] = 4 if taken else 3
                 break
         else:
             # Nothing free: age the candidates.
-            for index in range(start, len(self.tables)):
-                table = self.tables[index]
-                slot = table.index(pc, history)
-                if table.useful[slot] > 0:
-                    table.useful[slot] -= 1
-        # Periodic global aging keeps entries reclaimable.
-        self._ticks += 1
-        if self._ticks >= self.aging_period:
-            self._ticks = 0
-            for table in self.tables:
-                for slot in range(len(table.useful)):
-                    if table.useful[slot] > 0:
-                        table.useful[slot] -= 1
+            for index, slot in zip(later, slots):
+                if self.useful[index][slot] > 0:
+                    self.useful[index][slot] -= 1
+        self.ticks += 1
+        if self.ticks >= self.aging_period:
+            self.age()
+
+    def age(self) -> None:
+        """Global aging, which keeps entries reclaimable: decay every
+        useful counter and restart the count."""
+        self.ticks = 0
+        for useful in self.useful:
+            useful[:] = [u - 1 if u else 0 for u in useful]
 
     @property
     def storage_bits(self) -> int:
-        tagged = sum(
-            (3 + 2 + table.tag_bits) * (table.mask + 1)
-            for table in self.tables
-        )
+        tagged = (3 + 2 + self.tag_bits) * self.table_entries * len(self.tags)
         return self.base.storage_bits + tagged
 
     def reset(self) -> None:
         self.__init__(
             base_entries=self.base_entries,
             table_entries=self.table_entries,
-            num_tables=len(self.tables),
+            num_tables=len(self.tags),
             min_history=self.history_lengths[0],
             max_history=self.history_lengths[-1],
             tag_bits=self.tag_bits,

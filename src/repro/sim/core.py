@@ -3,8 +3,8 @@
 Every core replays the same pre-decoded replay plan
 (:mod:`repro.sim.fastcore`): ``object`` drives the object predictor
 event by event — the readable path, and the only one for predictors
-without a kernel — while ``fast`` and ``numpy`` replay flat,
-allocation-free kernels.  All of them must stay bit-identical to the
+the fast cores do not take — while ``fast`` and ``numpy`` replay on
+the predictor's own tables from vectorised indices.  All of them must stay bit-identical to the
 branch-by-branch oracle ``tests/driver_oracle.py`` (the differential
 suites enforce this).  Because metrics are identical,
 the core choice is *not* part of a run's identity: it lives in the

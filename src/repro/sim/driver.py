@@ -12,7 +12,7 @@ Predictors just consume the history value they are handed.
 
 Every core shares one body.  A core only decides which branches
 mispredicted — the object predictor stepping through the plan's events
-(``object``) or its flat kernel (``fast``, ``numpy``) — and everything
+(``object``) or its own tables (``fast``, ``numpy``) — and everything
 else derives from that mispredict vector here: per-class statistics,
 flags, BTB misfetches, profiler events and the ``sim.*`` counters.  The
 branch-by-branch loop this replaced is the independent oracle
@@ -173,12 +173,13 @@ def simulate(
     does nothing.
 
     ``core`` selects who replays the plan: ``"object"`` (the object
-    predictor, event by event), ``"fast"`` (its flat kernel) or
+    predictor, event by event), ``"fast"`` (its own tables) or
     ``"numpy"`` (batched table replay); ``None`` resolves through
     :func:`repro.sim.core.resolve_core` (context, then
     ``$REPRO_SIM_CORE``, then ``"object"``).  Results are bit-identical
-    across cores; a predictor without a kernel (static, perfect,
-    subclasses) runs on the object core regardless of the knob.  Every
+    across cores, and every core trains ``predictor``; one the fast
+    cores do not take (static, perfect, subclasses) runs on the object
+    core regardless of the knob.  Every
     call counts ``sim.core.<used>``; such a fallback also counts
     ``sim.fallback.predictor``.
 

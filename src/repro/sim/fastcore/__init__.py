@@ -3,15 +3,17 @@
 :func:`plan_for` decodes (and caches) a (trace, options) pair into a
 :class:`~repro.sim.fastcore.decode.ReplayPlan`, the only derivation of
 the front end's event stream.  The ``object`` core replays it through
-the object predictor (:func:`~repro.sim.fastcore.replay.object_replay`,
-the only path for predictors without a kernel), ``fast`` and ``numpy``
-through a flat kernel (:func:`kernel_replay`).  Each returns the
+the object predictor's ``predict``/``update``
+(:func:`~repro.sim.fastcore.replay.object_replay`, the only path for
+predictors the fast cores do not take), ``fast`` and ``numpy`` on the
+predictor's own tables from vectorised indices (:func:`kernel_replay`).
+Every core trains the predictor it is given.  Each returns the
 mispredicted branches, from which :func:`repro.sim.driver.simulate`
 builds every statistic; profiler events, a BTB and a JRS confidence
 estimator are post-passes over them (:func:`emit_events`,
 :func:`btb_misfetches`, :func:`jrs_confidence`).  Every core is checked
 against the branch-by-branch oracle ``tests/driver_oracle.py``; see
-``docs/fast-core.md`` for the kernel ABI and the plan layout.
+``docs/fast-core.md`` for the index functions and the plan layout.
 """
 
 import time
@@ -22,12 +24,7 @@ from repro import telemetry
 from repro.sim.driver import SimOptions
 from repro.sim.fastcore.batch import batch_replay, batch_supported
 from repro.sim.fastcore.decode import ReplayPlan, TraceLRU, build_plan
-from repro.sim.fastcore.kernels import (
-    KERNEL_BUILDERS,
-    KernelError,
-    kernel_from_predictor,
-    kernelizable,
-)
+from repro.sim.fastcore.kernels import kernelizable
 from repro.sim.fastcore.replay import (
     btb_misfetches,
     emit_events,
@@ -37,8 +34,6 @@ from repro.sim.fastcore.replay import (
 )
 
 __all__ = [
-    "KERNEL_BUILDERS",
-    "KernelError",
     "ReplayPlan",
     "batch_replay",
     "batch_supported",
@@ -48,7 +43,6 @@ __all__ = [
     "emit_events",
     "fast_replay",
     "jrs_confidence",
-    "kernel_from_predictor",
     "kernel_replay",
     "kernelizable",
     "object_replay",
@@ -120,26 +114,26 @@ def plan_for(trace, options: SimOptions) -> ReplayPlan:
 
 
 def kernel_replay(predictor, plan: ReplayPlan, core: str):
-    """Replay ``plan`` on ``predictor``'s flat kernel.
+    """Replay ``plan`` on ``predictor``'s own tables, training them.
 
     Returns ``(used, mis)``: the core that ran (``numpy`` runs the
-    batched backend on table kernels and the fast loops otherwise) and
-    the mispredicted branch indices.  While tracing, the replay runs
+    batched backend on table predictors and the fast loops otherwise)
+    and the mispredicted branch indices.  While tracing, the replay runs
     in a ``fastcore.replay`` span; untraced, it opens none, so the
     per-point path times nothing and the counter set is the same
     either way.
     """
-    kernel = kernel_from_predictor(predictor)
-    used = "numpy" if core == "numpy" and batch_supported(kernel) else "fast"
-    replay = batch_replay if used == "numpy" else fast_replay
+    batched = core == "numpy" and batch_supported(predictor)
+    used = "numpy" if batched else "fast"
+    replay = batch_replay if batched else fast_replay
     start = time.perf_counter()
     if telemetry.tracing_enabled():
         with telemetry.span(
-            "fastcore.replay", workload=plan.workload, kernel=kernel.name
+            "fastcore.replay", workload=plan.workload, kernel=predictor.name
         ):
-            mis = replay(kernel, plan)
+            mis = replay(predictor, plan)
     else:
-        mis = replay(kernel, plan)
+        mis = replay(predictor, plan)
     wall = time.perf_counter() - start
     if wall > 0.0 and telemetry.enabled():
         telemetry.get_registry().gauge(

@@ -2,11 +2,13 @@
 
 :func:`object_replay` is the ``object`` core: it steps the object
 predictor itself through the plan's events, one ``predict`` or
-``update`` call at a time.  The rest of this module replays flat
-kernels (the ``fast`` and ``numpy`` cores).
+``update`` call at a time.  The rest of this module is the ``fast`` and
+``numpy`` cores: they replay on the predictor's own tables, training
+them in place, from per-event indices computed with numpy
+(:mod:`repro.sim.fastcore.kernels`).
 
-Table kernels (bimodal, gshare, gselect, GAg, and local's pattern
-table) replay their 2-bit counters one *run* at a time, on every plan
+2-bit counter tables (bimodal, gshare, gselect, GAg, and local's
+pattern table) replay one *run* at a time, on every plan
 (:func:`replay_table`):
 
 * :func:`split_runs` regroups the events by table index (a counter
@@ -20,14 +22,13 @@ table) replay their 2-bit counters one *run* at a time, on every plan
   the 2-bit counter's function monoid, and :func:`settle_runs`
   recovers the mispredicted events from the state each run starts in.
   Only the counters the stream touches are read from, and written
-  back to, the kernel's table.
+  back to, the predictor's table.
 
-The local kernel's indices come from
-:meth:`~repro.sim.fastcore.kernels.LocalKernel.event_indices`: its
-histories shift in actual outcomes only, so they never depend on a
-prediction.
+A local predictor's indices come from
+:func:`~repro.sim.fastcore.kernels.local_indices`: its histories shift
+in actual outcomes only, so they never depend on a prediction.
 
-A tournament's components are table or local kernels (a tournament
+A tournament's components are table or local predictors (a tournament
 over any other predictor runs on the object core), so their indices
 are per-event arrays too.  It replays a ``uniform`` plan as three run
 replays (:func:`replay_tournament_runs`): each component on its own,
@@ -49,7 +50,7 @@ TAGE slots and tags); only their serial table state stays in Python:
 They run a chunk of :data:`CHUNK_EVENTS` events at a time, so the
 per-event index lists never outgrow one chunk.
 
-Every kernel path returns the *event positions* that mispredicted,
+Every replay path returns the *event positions* that mispredicted,
 ascending; :func:`fast_replay` maps them to branch indices through the
 plan's ``ev_branch`` array, and the driver builds all statistics
 vectorised.
@@ -61,8 +62,12 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.pipeline.availability import pgu_defines
+from repro.predictors.perceptron import PerceptronPredictor
 from repro.predictors.perfect import PerfectPredictor
 from repro.predictors.static import StaticPredictor
+from repro.predictors.tage import TagePredictor
+from repro.predictors.tournament import TournamentPredictor
+from repro.predictors.twolevel import LocalPredictor
 from repro.profiler.events import (
     AVAIL_NEVER,
     CONF_PERFECT,
@@ -73,15 +78,17 @@ from repro.profiler.events import (
 )
 from repro.sim.fastcore.decode import ReplayPlan
 from repro.sim.fastcore.kernels import (
-    LocalKernel,
-    PerceptronKernel,
-    TageKernel,
-    TournamentKernel,
+    INDEX_FUNCTIONS,
     _low_bits,
+    chooser_index,
     group_events,
+    lane_layout,
+    local_indices,
+    perceptron_lanes,
+    tage_slots,
 )
 
-#: Events per call of a composite kernel's loop.
+#: Events per call of a composite predictor's loop.
 CHUNK_EVENTS = 1 << 16
 
 
@@ -236,7 +243,7 @@ _HEAD_MISSES = np.array([0, 0, 1, 2, 2, 1, 0, 0], dtype=np.uint8)
 
 def start_values(table, runs: Runs) -> np.ndarray:
     """``uint8`` start value of every counter the runs touch, read from
-    the kernel's list (no conversion of the whole table)."""
+    the predictor's list (no conversion of the whole table)."""
     heads = runs.index[runs.first].tolist()
     return np.frombuffer(
         bytearray(map(table.__getitem__, heads)), dtype=np.uint8
@@ -284,7 +291,7 @@ def replay_runs(table, idx: np.ndarray, taken: np.ndarray, read=None,
                 trans=None) -> np.ndarray:
     """Replay events on 2-bit counters, a run at a time.
 
-    ``table`` is the kernel's list of counters, updated in place;
+    ``table`` is the predictor's list of counters, updated in place;
     ``idx`` and ``taken`` (``uint8``) are per-event arrays.  Without
     ``read``/``trans`` every event reads then trains; with them (per
     event ``uint8`` flags) runs also split where the flags change.
@@ -309,13 +316,13 @@ def replay_runs(table, idx: np.ndarray, taken: np.ndarray, read=None,
     )
 
 
-def _indices(kernel, pc: np.ndarray, ghr: np.ndarray, taken: np.ndarray,
-             trans: np.ndarray) -> np.ndarray:
-    """Per-event table index of a local kernel (which advances its
-    histories) or a table kernel."""
-    if isinstance(kernel, LocalKernel):
-        return kernel.event_indices(pc, taken, trans)
-    return kernel.batch_index(pc, ghr)
+def _indices(predictor, pc: np.ndarray, ghr: np.ndarray,
+             taken: np.ndarray, trans: np.ndarray) -> np.ndarray:
+    """Per-event table index of a local predictor (which advances its
+    histories) or a table predictor."""
+    if type(predictor) is LocalPredictor:
+        return local_indices(predictor, pc, taken, trans)
+    return INDEX_FUNCTIONS[type(predictor)](predictor, pc, ghr)
 
 
 def _wrong(mis: np.ndarray, count: int) -> np.ndarray:
@@ -325,7 +332,7 @@ def _wrong(mis: np.ndarray, count: int) -> np.ndarray:
     return wrong
 
 
-def replay_tournament_runs(kernel: TournamentKernel, pc: np.ndarray,
+def replay_tournament_runs(predictor: TournamentPredictor, pc: np.ndarray,
                            ghr: np.ndarray, taken: np.ndarray,
                            trans: np.ndarray) -> np.ndarray:
     """Replay a uniform stream through a tournament as three run
@@ -342,18 +349,18 @@ def replay_tournament_runs(kernel: TournamentKernel, pc: np.ndarray,
     positions, ascending.
     """
     count = int(taken.shape[0])
-    a = kernel.a
-    b = kernel.b
+    a = predictor.a
+    b = predictor.b
     wrong_a = _wrong(replay_runs(
-        a.table, _indices(a, pc, ghr, taken, trans), taken
+        a.counters.table, _indices(a, pc, ghr, taken, trans), taken
     ), count)
     wrong_b = _wrong(replay_runs(
-        b.table, _indices(b, pc, ghr, taken, trans), taken
+        b.counters.table, _indices(b, pc, ghr, taken, trans), taken
     ), count)
     split = np.flatnonzero(wrong_a != wrong_b)
     picked_wrong = replay_runs(
-        kernel.chooser,
-        kernel.batch_chooser_index(pc[split], ghr[split]),
+        predictor.chooser.table,
+        chooser_index(predictor, pc[split], ghr[split]),
         (~wrong_b[split]).view(np.uint8),
     )
     wrong = wrong_a & wrong_b
@@ -361,18 +368,18 @@ def replay_tournament_runs(kernel: TournamentKernel, pc: np.ndarray,
     return np.flatnonzero(wrong)
 
 
-def _replay_tournament(kernel, pc, ghr, taken, read, trans):
-    a = kernel.a
-    b = kernel.b
+def _replay_tournament(predictor, pc, ghr, taken, read, trans):
+    a = predictor.a
+    b = predictor.b
     takens = taken.tolist()
     reads = read.tolist()
     transs = trans.tolist()
-    cidxs = kernel.batch_chooser_index(pc, ghr).tolist()
+    cidxs = chooser_index(predictor, pc, ghr).tolist()
     aidxs = _indices(a, pc, ghr, taken, trans).tolist()
     bidxs = _indices(b, pc, ghr, taken, trans).tolist()
-    chooser = kernel.chooser
-    atable = a.table
-    btable = b.table
+    chooser = predictor.chooser.table
+    atable = a.counters.table
+    btable = b.counters.table
     mis = []
     add = mis.append
     k = 0
@@ -409,14 +416,14 @@ def _replay_tournament(kernel, pc, ghr, taken, read, trans):
     return mis
 
 
-def _replay_perceptron(kernel, pc, ghr, taken, read, trans):
+def _replay_perceptron(predictor, pc, ghr, taken, read, trans):
     """Perceptron loop over lane-packed rows, each row's outputs
     memoized between its trainings.
 
-    Every row the chunk touches is read from ``kernel.weights`` (made
-    on first touch), packed into one int
-    (:meth:`~repro.sim.fastcore.kernels.PerceptronKernel.pack`) and
-    written back in place at the end.  A row's output for a history key
+    Every row the chunk touches is read from ``predictor.weights``
+    (made on first touch), packed into one int
+    (:meth:`~repro.sim.fastcore.kernels.Lanes.pack`) and written back
+    in place at the end.  A row's output for a history key
     is lane ``n - 1`` of one product with the key's ``select`` (twice
     the lanes under a ``+1`` sign), less the row's weight sum and the
     key's bias offset ``2 * plus * bias``.  Training adds (taken) or
@@ -428,26 +435,30 @@ def _replay_perceptron(kernel, pc, ghr, taken, read, trans):
 
     A row's weights only change when it trains, so its output for a
     key stays valid until then: one ``{key: output}`` dict per row,
-    cleared when that row trains.  Training follows the kernel's rule
-    (wrong, or ``|output| <= threshold``), which for a non-negative
-    threshold is ``output <= threshold`` on a taken event and
-    ``output >= -threshold`` on a not-taken one.
+    cleared when that row trains.  Training follows the predictor's
+    rule (wrong, or ``|output| <= threshold``), which for a
+    non-negative threshold is ``output <= threshold`` on a taken event
+    and ``output >= -threshold`` on a not-taken one; a negative
+    threshold is refused.
     """
-    touched, slots = np.unique(pc & kernel.mask, return_inverse=True)
-    weights = kernel.weights
+    threshold = predictor.threshold
+    if threshold < 0:
+        raise ValueError("threshold must be non-negative")
+    lanes = lane_layout(predictor)
+    touched, slots = np.unique(pc & predictor.mask, return_inverse=True)
+    weights = predictor.weights
     rows = [weights[row] for row in touched.tolist()]
-    packed = list(map(kernel.pack, rows))
+    packed = list(map(lanes.pack, rows))
     sums = list(map(sum, rows))
-    keys, select, delta, plus = kernel.batch_lanes(ghr)
-    width = kernel.history_bits + 1
+    keys, select, delta, plus = perceptron_lanes(predictor, lanes, ghr)
+    width = predictor.history_bits + 1
     step = [2 * p - width for p in plus]
-    offset = [2 * p * kernel.bias for p in plus]
-    shift = kernel.lane * (width - 1)
-    lane_mask = (1 << kernel.lane) - 1
-    high = kernel.lanes(1 << kernel.high_bit)
-    fill = kernel.lanes(2 * kernel.weight_limit + 1)
-    limit = kernel.weight_limit
-    threshold = kernel.threshold
+    offset = [2 * p * lanes.bias for p in plus]
+    shift = lanes.width * (width - 1)
+    lane_mask = (1 << lanes.width) - 1
+    high = lanes.fill(1 << lanes.high_bit)
+    limit = predictor.weight_limit
+    fill = lanes.fill(2 * limit + 1)
     if read.all() and trans.all():
         reads = transs = itertools.repeat(1)
     else:
@@ -476,34 +487,34 @@ def _replay_perceptron(kernel, pc, ghr, taken, read, trans):
                 total = sums[slot] - step[key]
             if row & high or (row + fill) & high != high:
                 clipped = [
-                    max(-limit, min(limit, w)) for w in kernel.unpack(row)
+                    max(-limit, min(limit, w)) for w in lanes.unpack(row)
                 ]
-                row = kernel.pack(clipped)
+                row = lanes.pack(clipped)
                 total = sum(clipped)
             packed[slot] = row
             sums[slot] = total
             memo.clear()
         k += 1
     for w, row in zip(rows, packed):
-        w[:] = kernel.unpack(row)
+        w[:] = lanes.unpack(row)
     return mis
 
 
-def _replay_tage(kernel, pc, ghr, taken, read, trans):
+def _replay_tage(predictor, pc, ghr, taken, read, trans):
     takens = taken.tolist()
     reads = read.tolist()
     transs = trans.tolist()
-    base_slots, slots, tags = kernel.batch_slots(pc, ghr)
+    base_slots, slots, tags = tage_slots(predictor, pc, ghr)
     base_slots = base_slots.tolist()
     slots = [s.tolist() for s in slots]
     tags = [g.tolist() for g in tags]
     count = len(slots)
     longest_first = range(count - 1, -1, -1)
-    base = kernel.base
-    tag_tables = kernel.tags
-    counter_tables = kernel.counters
-    useful_tables = kernel.useful
-    period = kernel.aging_period
+    base = predictor.base.table
+    tag_tables = predictor.tags
+    counter_tables = predictor.counters
+    useful_tables = predictor.useful
+    period = predictor.aging_period
     mis = []
     add = mis.append
     k = 0
@@ -567,22 +578,22 @@ def _replay_tage(kernel, pc, ghr, taken, read, trans):
                     slot = slots[table][k]
                     if useful[slot]:
                         useful[slot] -= 1
-            kernel.ticks += 1
-            if kernel.ticks >= period:
-                kernel.age()
+            predictor.ticks += 1
+            if predictor.ticks >= period:
+                predictor.age()
         k += 1
     return mis
 
 
-#: kernel class -> its chunked replay loop
+#: predictor class -> its chunked replay loop
 _COMPOSITE_LOOPS = {
-    TournamentKernel: _replay_tournament,
-    PerceptronKernel: _replay_perceptron,
-    TageKernel: _replay_tage,
+    TournamentPredictor: _replay_tournament,
+    PerceptronPredictor: _replay_perceptron,
+    TagePredictor: _replay_tage,
 }
 
 
-def _replay_chunked(loop, kernel, plan: ReplayPlan) -> np.ndarray:
+def _replay_chunked(loop, predictor, plan: ReplayPlan) -> np.ndarray:
     """Event positions that mispredicted, one chunk at a time."""
     ev_branch = plan.ev_branch
     found = []
@@ -590,7 +601,7 @@ def _replay_chunked(loop, kernel, plan: ReplayPlan) -> np.ndarray:
         stop = start + CHUNK_EVENTS
         branches = ev_branch[start:stop]
         mis = loop(
-            kernel, plan.pc[branches], plan.ghr[branches],
+            predictor, plan.pc[branches], plan.ghr[branches],
             plan.taken[branches], plan.ev_read[start:stop],
             plan.ev_trans[start:stop],
         )
@@ -600,37 +611,38 @@ def _replay_chunked(loop, kernel, plan: ReplayPlan) -> np.ndarray:
     return np.concatenate(found)
 
 
-def fast_replay(kernel, plan: ReplayPlan) -> np.ndarray:
-    """Replay the plan through ``kernel``; mispredicted branch indices.
+def fast_replay(predictor, plan: ReplayPlan) -> np.ndarray:
+    """Replay the plan on ``predictor``; mispredicted branch indices.
 
-    Mutates the kernel's tables (so state round-trips match the object
-    predictor's trained state event for event).
+    Trains the predictor's own tables in place, event for event as its
+    ``update`` would (see :func:`~repro.sim.fastcore.kernels.kernelizable`
+    for the predictors it takes).
     """
     ev_branch = plan.ev_branch
-    if plan.uniform and type(kernel) is TournamentKernel:
+    if plan.uniform and type(predictor) is TournamentPredictor:
         return ev_branch[replay_tournament_runs(
-            kernel, plan.per_event(plan.pc), plan.per_event(plan.ghr),
+            predictor, plan.per_event(plan.pc), plan.per_event(plan.ghr),
             plan.per_event(plan.taken), plan.ev_trans,
         )]
-    loop = _COMPOSITE_LOOPS.get(type(kernel))
+    loop = _COMPOSITE_LOOPS.get(type(predictor))
     if loop is not None:
-        return ev_branch[_replay_chunked(loop, kernel, plan)]
-    return replay_table(kernel, plan)
+        return ev_branch[_replay_chunked(loop, predictor, plan)]
+    return replay_table(predictor, plan)
 
 
-def replay_table(kernel, plan: ReplayPlan) -> np.ndarray:
-    """Replay the plan through a table or local kernel's counters
+def replay_table(predictor, plan: ReplayPlan) -> np.ndarray:
+    """Replay the plan on a table or local predictor's counters
     (:func:`replay_runs`); mispredicted branch indices, ascending."""
     taken = plan.per_event(plan.taken)
     idx = _indices(
-        kernel, plan.per_event(plan.pc), plan.per_event(plan.ghr), taken,
+        predictor, plan.per_event(plan.pc), plan.per_event(plan.ghr), taken,
         plan.ev_trans,
     )
+    table = predictor.counters.table
     if plan.uniform:
-        mis = replay_runs(kernel.table, idx, taken)
+        mis = replay_runs(table, idx, taken)
     else:
-        mis = replay_runs(kernel.table, idx, taken, plan.ev_read,
-                          plan.ev_trans)
+        mis = replay_runs(table, idx, taken, plan.ev_read, plan.ev_trans)
     return plan.ev_branch[mis]
 
 

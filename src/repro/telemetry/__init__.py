@@ -7,9 +7,8 @@ Four small pieces, composable and individually optional:
   histograms, with deterministic :meth:`~MetricsRegistry.merge` so sweep
   workers can ship their numbers back to the parent as pickled
   registries.
-* :mod:`repro.telemetry.sinks` — pluggable event sinks.  The default is
-  a :class:`NullSink`, so instrumented hot paths cost nothing until a
-  real sink (:class:`MemorySink`, :class:`JsonlSink`) is installed.
+* :mod:`repro.telemetry.sinks` — event sinks (:class:`MemorySink`,
+  :class:`JsonlSink`), handed to whoever emits.
 * :mod:`repro.telemetry.tracing` — :func:`span`, the one phase timer
   (trace build → cache publish → sweep → sim → aggregate): a
   ``span.<name>.seconds`` histogram in the current registry and, while
@@ -26,8 +25,7 @@ Typical use (what ``repro run E2 --metrics run.jsonl`` does)::
 
     registry = telemetry.MetricsRegistry()
     with telemetry.use_registry(registry), \\
-            telemetry.JsonlSink("run.jsonl") as sink, \\
-            telemetry.use_sink(sink):
+            telemetry.JsonlSink("run.jsonl") as sink:
         ...  # instrumented work
         sink.emit({"event": "metrics", **registry.snapshot()})
 
@@ -48,11 +46,9 @@ from repro.telemetry.registry import (
     enabled,
     get_registry,
     set_enabled,
-    set_registry,
     use_registry,
 )
 from repro.telemetry.report import (
-    render_history_trend,
     render_profile_events,
     render_profile_markdown,
     render_report,
@@ -61,13 +57,9 @@ from repro.telemetry.report import (
 from repro.telemetry.sinks import (
     JsonlSink,
     MemorySink,
-    NullSink,
     Sink,
-    get_sink,
     read_events,
     read_events_lenient,
-    set_sink,
-    use_sink,
 )
 from repro.telemetry.tracing import (
     SpanCollector,
@@ -100,7 +92,6 @@ __all__ = [
     "JsonlSink",
     "MemorySink",
     "MetricsRegistry",
-    "NullSink",
     "QuantileSketch",
     "Sink",
     "SpanCollector",
@@ -113,12 +104,10 @@ __all__ = [
     "from_traceparent",
     "get_collector",
     "get_registry",
-    "get_sink",
     "new_trace_id",
     "read_events",
     "read_events_lenient",
     "read_spans",
-    "render_history_trend",
     "render_profile_events",
     "render_profile_markdown",
     "render_prometheus",
@@ -126,8 +115,6 @@ __all__ = [
     "render_trace",
     "render_trace_list",
     "set_enabled",
-    "set_registry",
-    "set_sink",
     "skip_span",
     "span",
     "summarize_events",
@@ -135,6 +122,5 @@ __all__ = [
     "use_collector",
     "use_context",
     "use_registry",
-    "use_sink",
     "use_tracing",
 ]

@@ -25,7 +25,7 @@ import math
 import threading
 from bisect import bisect_left
 from contextlib import contextmanager
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 #: Default histogram bucket upper bounds, in seconds — spans and phase
 #: timings land here.  The last implicit bucket is +inf.
@@ -346,11 +346,6 @@ _ENABLED = True
 def get_registry() -> MetricsRegistry:
     """The registry instrumented code currently records into."""
     return getattr(_state, "registry", None) or _GLOBAL_REGISTRY
-
-
-def set_registry(registry: Optional[MetricsRegistry]) -> None:
-    """Install ``registry`` as current (``None`` restores the global one)."""
-    _state.registry = registry
 
 
 @contextmanager

@@ -85,24 +85,6 @@ def render_report(path) -> str:
     return summarize_events(read_events(path))
 
 
-def render_history_trend(store_root=None, pattern: Optional[str] = None,
-                         last: int = 0) -> str:
-    """Markdown trend report over the run-history store.
-
-    The longitudinal counterpart to :func:`render_report`: where that
-    summarises one run's event stream, this renders how the headline
-    metrics evolved across the ``--record``-ed runs in the store (see
-    :mod:`repro.runstore`).  ``repro history trend`` is a thin wrapper.
-    """
-    # Imported lazily: runstore imports repro.telemetry for snapshots.
-    from repro.runstore import RunStore, render_trend_markdown
-
-    records = RunStore(store_root).records()
-    if last:
-        records = records[-last:]
-    return render_trend_markdown(records, pattern)
-
-
 # -- misprediction-attribution reports ----------------------------------------
 
 

@@ -1,12 +1,11 @@
 """Telemetry event sinks.
 
 A sink receives *events* — flat JSON-serialisable dicts with at least an
-``"event"`` key: the CLI writes one ``"header"`` and, last, one
-``"metrics"`` snapshot (span timings live in the snapshot's
-``span.<name>.seconds`` histograms).  The default sink
-is :class:`NullSink`, whose :meth:`~Sink.emit` is a no-op, so
-instrumented code paths cost nothing unless a real sink is installed
-(the CLI's ``--metrics out.jsonl`` flag installs a :class:`JsonlSink`).
+``"event"`` key: the CLI's ``--metrics out.jsonl`` flag writes one
+``"header"`` and, last, one ``"metrics"`` snapshot to a
+:class:`JsonlSink` (span timings live in the snapshot's
+``span.<name>.seconds`` histograms).  A sink is handed to whoever
+emits; there is no ambient current sink.
 
 Sinks are parent-process objects: sweep workers never see them and ship
 their numbers back as pickled registries instead (see
@@ -14,10 +13,8 @@ their numbers back as pickled registries instead (see
 """
 
 import json
-import threading
-from contextlib import contextmanager
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 
 class Sink:
@@ -35,15 +32,6 @@ class Sink:
     def __exit__(self, *exc):
         self.close()
         return False
-
-
-class NullSink(Sink):
-    """Discards everything — the zero-overhead default."""
-
-    __slots__ = ()
-
-    def emit(self, event: dict) -> None:
-        pass
 
 
 class MemorySink(Sink):
@@ -150,30 +138,3 @@ def read_events_lenient(path) -> Tuple[List[dict], int]:
                 continue
             events.append(event)
     return events, skipped
-
-
-# -- process-global current sink ----------------------------------------------
-
-_state = threading.local()
-_NULL_SINK = NullSink()
-
-
-def get_sink() -> Sink:
-    """The sink events are currently emitted to (default: a NullSink)."""
-    return getattr(_state, "sink", None) or _NULL_SINK
-
-
-def set_sink(sink: Optional[Sink]) -> None:
-    """Install ``sink`` as current (``None`` restores the NullSink)."""
-    _state.sink = sink
-
-
-@contextmanager
-def use_sink(sink: Sink):
-    """Temporarily emit events to ``sink`` (nestable)."""
-    previous = getattr(_state, "sink", None)
-    _state.sink = sink
-    try:
-        yield sink
-    finally:
-        _state.sink = previous

@@ -7,11 +7,12 @@ module runs one (trace, predictor, options) point through the oracle
 and through a core and compares per-branch correctness flags bit for
 bit.  On a mismatch the report names the predictor, the core and the
 **first diverging branch index**, which is the piece of information
-that actually localises a kernel bug (aggregate counts only say
+that actually localises a replay bug (aggregate counts only say
 "something, somewhere").
 
 Used by ``tests/test_fastcore_differential.py`` across the whole
-workload suite, and handy interactively when writing a new kernel.
+workload suite, and handy interactively when adding a predictor to
+the fast cores.
 """
 
 from dataclasses import dataclass, replace
@@ -72,7 +73,7 @@ def differential_check(
     predictor_factory: Callable,
     options: SimOptions = SimOptions(),
     core: str = "fast",
-    kernel=None,
+    prebuilt=None,
 ) -> DivergenceReport:
     """Run one point through the oracle and on ``core``; compare.
 
@@ -81,15 +82,15 @@ def differential_check(
     ``sim.core.<core>`` counter must show that ``core`` really ran: a
     silent drop to another backend would make the check vacuous.
 
-    ``kernel`` instead replays a pre-built (possibly corrupted) kernel
-    over the point's replay plan on ``core``'s backend and compares the
-    correctness flags alone — the seeded-divergence tests use this to
-    prove the harness actually localises disagreements.
+    ``prebuilt`` instead replays a pre-built (possibly corrupted)
+    predictor over the point's replay plan on ``core``'s backend and
+    compares the correctness flags alone — the seeded-divergence tests
+    use this to prove the harness actually localises disagreements.
     """
     opts = replace(options, record_flags=True)
     ref, _ = oracle_simulate(trace, predictor_factory(), opts)
     ref_metrics = ref.headline_metrics()
-    if kernel is None:
+    if prebuilt is None:
         with telemetry.use_registry(telemetry.MetricsRegistry()) as reg:
             got = simulate(trace, predictor_factory(), opts, core=core)
         ran = reg.snapshot()["counters"].get(f"sim.core.{core}")
@@ -105,7 +106,7 @@ def differential_check(
             and ref.per_class == got.per_class
         )
     else:
-        mis = REPLAYS[core](kernel, fastcore.plan_for(trace, opts))
+        mis = REPLAYS[core](prebuilt, fastcore.plan_for(trace, opts))
         correct = np.ones(ref.branches, dtype=bool)
         correct[mis] = False
         first = _first_divergence([(ref.flags.correct, correct)])

@@ -7,14 +7,14 @@ of the replay benchmark gates (``benchmarks/test_bench_replay.py``,
 ``benchmarks/test_bench_families.py``).  Nothing in ``src/`` uses them.
 
 * :func:`replay_table_uniform` — every event reads then trains one
-  counter of a table kernel (bimodal, gshare, gselect, GAg).
-* :func:`replay_table_flags` — a table kernel's events with read /
+  counter of a table predictor (bimodal, gshare, gselect, GAg).
+* :func:`replay_table_flags` — a table predictor's events with read /
   transition flags (delayed update, ``sfp.update_pht``).
-* :func:`replay_local` — the local kernel: per-slot history shifted at
-  train events, feeding a pattern table; events carry read/transition
-  flags.
+* :func:`replay_local` — the local predictor: per-slot history shifted
+  at train events, feeding a pattern table; events carry
+  read/transition flags.
 * :func:`oracle_replay` — the fast core's previous path for those
-  kernels on one replay plan.
+  predictors on one replay plan.
 * :func:`replay_perceptron` — the perceptron loop recomputing every
   output as a dot product of the row's list and the history's sign
   tuple (:func:`sign_tuples`); :func:`oracle_composite` runs it (or the
@@ -24,10 +24,10 @@ of the replay benchmark gates (``benchmarks/test_bench_replay.py``,
 Every replay loop returns the *event positions* that mispredicted,
 ascending.
 
-Two helpers let the kernel tests use the object predictors as their
+Two helpers let the replay tests use the object predictors as their
 reference: :func:`make_plan` builds a replay plan from explicit event
-arrays, and :func:`object_state` reads an object predictor's tables in
-the shape of its kernel's ``state()``.
+arrays, and :func:`object_state` reads a predictor's tables as plain
+lists, so two predictors' trained states compare with ``==``.
 """
 
 import operator
@@ -43,7 +43,7 @@ from repro.predictors import (
 )
 from repro.sim import SimOptions
 from repro.sim.fastcore.decode import ReplayPlan
-from repro.sim.fastcore.kernels import LocalKernel
+from repro.sim.fastcore.kernels import INDEX_FUNCTIONS
 from repro.sim.fastcore.replay import _replay_chunked
 
 
@@ -78,8 +78,9 @@ def make_plan(pc, taken, read=None, trans=None, ghr=None):
 
 
 def object_state(predictor) -> dict:
-    """An object predictor's trained state, shaped like its kernel's
-    ``state()``."""
+    """A predictor's trained tables, as fresh lists (a perceptron's
+    weights as every one of its ``entries`` rows, untouched ones as
+    zeros)."""
     if isinstance(predictor, TournamentPredictor):
         return {
             "chooser": list(predictor.chooser.table),
@@ -87,14 +88,14 @@ def object_state(predictor) -> dict:
             "b": object_state(predictor.b),
         }
     if isinstance(predictor, PerceptronPredictor):
-        return predictor.state()
+        return {"weights": predictor.weights.rows(predictor.entries)}
     if isinstance(predictor, TagePredictor):
         return {
             "base": list(predictor.base.table),
-            "tags": [list(t.tags) for t in predictor.tables],
-            "counters": [list(t.counters) for t in predictor.tables],
-            "useful": [list(t.useful) for t in predictor.tables],
-            "ticks": predictor._ticks,
+            "tags": [list(t) for t in predictor.tags],
+            "counters": [list(c) for c in predictor.counters],
+            "useful": [list(u) for u in predictor.useful],
+            "ticks": predictor.ticks,
         }
     state = {"table": list(predictor.counters.table)}
     if isinstance(predictor, LocalPredictor):
@@ -122,12 +123,12 @@ def replay_table_uniform(table, idxs, takens):
     return mis
 
 
-def replay_local(kernel, pcs, takens, reads, transs):
-    table = kernel.table
-    histories = kernel.histories
-    tmask = kernel.mask
-    lmask = kernel.local_mask
-    hmask = kernel.history_mask
+def replay_local(predictor, pcs, takens, reads, transs):
+    table = predictor.counters.table
+    histories = predictor.histories
+    tmask = predictor.counters.mask
+    lmask = predictor.local_mask
+    hmask = predictor.history_mask
     mis = []
     add = mis.append
     k = 0
@@ -167,40 +168,41 @@ def replay_table_flags(table, idxs, takens, reads, transs):
     return mis
 
 
-def oracle_replay(kernel, plan) -> np.ndarray:
-    """Mispredicted branch indices of a table or local kernel, one
+def oracle_replay(predictor, plan) -> np.ndarray:
+    """Mispredicted branch indices of a table or local predictor, one
     event at a time."""
     ev_branch = plan.ev_branch
     takens = plan.taken[ev_branch].tolist()
-    if isinstance(kernel, LocalKernel):
+    if isinstance(predictor, LocalPredictor):
         mis = replay_local(
-            kernel, plan.pc[ev_branch].tolist(), takens,
+            predictor, plan.pc[ev_branch].tolist(), takens,
             plan.ev_read.tolist(), plan.ev_trans.tolist(),
         )
     else:
-        idxs = kernel.batch_index(
-            plan.pc[ev_branch], plan.ghr[ev_branch]
+        idxs = INDEX_FUNCTIONS[type(predictor)](
+            predictor, plan.pc[ev_branch], plan.ghr[ev_branch]
         ).tolist()
+        table = predictor.counters.table
         if plan.uniform:
-            mis = replay_table_uniform(kernel.table, idxs, takens)
+            mis = replay_table_uniform(table, idxs, takens)
         else:
             mis = replay_table_flags(
-                kernel.table, idxs, takens, plan.ev_read.tolist(),
+                table, idxs, takens, plan.ev_read.tolist(),
                 plan.ev_trans.tolist(),
             )
     return ev_branch[np.asarray(mis, dtype=np.int64)]
 
 
-def sign_tuples(kernel, ghr):
+def sign_tuples(predictor, ghr):
     """(per-event key, sign tuple ``(1, s_1 .. s_h)`` per key): one
     shared tuple per distinct history value."""
+    history_bits = predictor.history_bits
     values, keys = np.unique(
-        ghr & np.uint64(kernel.history_mask), return_inverse=True
+        ghr & np.uint64((1 << history_bits) - 1), return_inverse=True
     )
-    shifts = np.arange(kernel.history_bits, dtype=np.uint64)
+    shifts = np.arange(history_bits, dtype=np.uint64)
     bits = ((values[:, None] >> shifts) & np.uint64(1)).astype(np.int64)
-    signs = np.ones((values.shape[0], kernel.history_bits + 1),
-                    dtype=np.int64)
+    signs = np.ones((values.shape[0], history_bits + 1), dtype=np.int64)
     signs[:, 1:] = 2 * bits - 1
     return keys.reshape(-1).tolist(), list(map(tuple, signs.tolist()))
 
@@ -216,15 +218,15 @@ def clipper(limit: int):
     return (upper + lower).__getitem__
 
 
-def replay_perceptron(kernel, pc, ghr, taken, read, trans):
+def replay_perceptron(predictor, pc, ghr, taken, read, trans):
     takens = taken.tolist()
     reads = read.tolist()
     transs = trans.tolist()
-    rows = (pc & kernel.mask).tolist()
-    keys, signs_of = sign_tuples(kernel, ghr)
-    weights = kernel.weights
-    threshold = kernel.threshold
-    clip = clipper(kernel.weight_limit)
+    rows = (pc & predictor.mask).tolist()
+    keys, signs_of = sign_tuples(predictor, ghr)
+    weights = predictor.weights
+    threshold = predictor.threshold
+    clip = clipper(predictor.weight_limit)
     mul = operator.mul
     plus = operator.add
     minus = operator.sub
@@ -244,10 +246,10 @@ def replay_perceptron(kernel, pc, ghr, taken, read, trans):
     return mis
 
 
-def oracle_composite(loop, kernel, plan) -> np.ndarray:
-    """Mispredicted branch indices of a composite kernel's per-event
+def oracle_composite(loop, predictor, plan) -> np.ndarray:
+    """Mispredicted branch indices of a composite predictor's per-event
     ``loop`` over the plan, a chunk at a time."""
-    return plan.ev_branch[_replay_chunked(loop, kernel, plan)]
+    return plan.ev_branch[_replay_chunked(loop, predictor, plan)]
 
 
 def simulate_frontend_loop(trace, flags, model) -> FrontendResult:

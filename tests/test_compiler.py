@@ -12,7 +12,7 @@ from repro.compiler import (
 )
 from repro.compiler import config as config_mod
 from repro.compiler.cfg import CFG
-from repro.compiler.dominance import dominators, immediate_dominators
+from repro.compiler.dominance import dominators
 from repro.compiler.lower import VREG_BASE, PredAllocator
 from repro.compiler.regalloc import ALLOCATABLE
 from repro.engine import run
@@ -376,17 +376,6 @@ class TestCFG:
             " while (i < 5) { i = i + 1; } return i; }"
         )
         assert cfg.back_edges(), "expected a loop back edge"
-
-    def test_immediate_dominators(self):
-        cfg = self._cfg(
-            "func main() { var a = 1;"
-            " if (a) { a = 2; } else { a = 3; } return a; }"
-        )
-        idom = immediate_dominators(cfg)
-        assert idom[cfg.entry().index] is None
-        for block, parent in idom.items():
-            if parent is not None:
-                assert parent != block
 
 
 class TestProfileCollector:

@@ -14,6 +14,8 @@ and takes its squash and define selection from the independent
 * Profiler events: the streams a collector receives at rate 1 and at
   rate 7 seed 3 are equal field for field, and of the same Python
   types, on every core.
+* A reused predictor: one object simulated three times keeps training
+  on every core exactly as the oracle's does.
 """
 
 from dataclasses import replace
@@ -42,6 +44,7 @@ from repro.sim import SimOptions, fastcore, simulate
 from repro.sim.driver import record_sim_counters
 from repro.workloads import get_workload, workload_names
 from tests.driver_oracle import oracle_simulate
+from tests.replay_oracle import object_state
 
 pytestmark = pytest.mark.fastcore
 
@@ -155,33 +158,61 @@ def test_cores_match_oracle(workload, hyperblocks):
 @pytest.mark.parametrize("oname", ["plain", "sfp+pgu", "delayed"])
 def test_serve_perceptron_matches_oracle(oname):
     """crc on ``repro serve``'s default ``perceptron-4096``: every core
-    matches the oracle, the object predictor and a kernel replaying
-    the plan end with the oracle's weights (read through ``state()``),
-    and rows exist only where the stream indexed them."""
+    matches the oracle, ends with the oracle's weights, and makes rows
+    only where the stream indexed them."""
     trace = get_workload("crc").trace(scale="tiny", hyperblocks=True)
     options = OPTIONS[oname]
     oracle = make_predictor("perceptron", entries=4096)
     ref, _ = oracle_simulate(trace, oracle, options)
+    plan = fastcore.plan_for(trace, options)
+    indexed = set((plan.pc[plan.ev_branch] & oracle.mask).tolist())
+    assert len(indexed) < 4096
     for core in CORES:
         predictor = make_predictor("perceptron", entries=4096)
         got = simulate(trace, predictor, options, core=core)
         where = f"{oname} on core {core}"
         assert got.headline_metrics() == ref.headline_metrics(), where
         assert got.per_class == ref.per_class, where
-        if core == "object":
-            assert predictor.state() == oracle.state(), where
-        else:
-            # A kernel core trains the kernel built from the predictor.
-            assert not predictor.weights, where
-    plan = fastcore.plan_for(trace, options)
-    kernel = fastcore.kernel_from_predictor(
-        make_predictor("perceptron", entries=4096)
-    )
-    fastcore.fast_replay(kernel, plan)
-    assert kernel.state() == oracle.state()
-    indexed = set((plan.pc[plan.ev_branch] & kernel.mask).tolist())
-    assert set(kernel.weights) == indexed
-    assert len(indexed) < 4096
+        assert object_state(predictor) == object_state(oracle), where
+        assert set(predictor.weights) == indexed, where
+
+
+def _aging_tage():
+    predictor = TagePredictor(base_entries=512, table_entries=128)
+    predictor.aging_period = 50  # tiny qsort ages many times
+    return predictor
+
+
+#: The families a reused predictor is checked for.
+REUSED = {
+    "gshare": PREDICTORS["gshare"],
+    "local": PREDICTORS["local"],
+    "tournament": PREDICTORS["tournament"],
+    "perceptron": PREDICTORS["perceptron"],
+    "tage": _aging_tage,
+}
+
+
+@pytest.mark.parametrize("oname", ["plain", "delayed"])
+@pytest.mark.parametrize("label", sorted(REUSED))
+def test_reused_predictor_matches_oracle(label, oname):
+    """One predictor object simulated three times on tiny qsort: every
+    run on every core equals the oracle's run on one reused object,
+    and every core leaves the oracle's trained tables."""
+    trace = get_workload("qsort").trace(scale="tiny", hyperblocks=True)
+    options = OPTIONS[oname]
+    oracle = REUSED[label]()
+    refs = [oracle_simulate(trace, oracle, options)[0] for _ in range(3)]
+    # The later runs start warm, so they differ from the first.
+    assert refs[1].headline_metrics() != refs[0].headline_metrics()
+    for core in CORES:
+        predictor = REUSED[label]()
+        for run, ref in enumerate(refs):
+            got = simulate(trace, predictor, options, core=core)
+            where = f"{label}/{oname} run {run} on core {core}"
+            assert got.headline_metrics() == ref.headline_metrics(), where
+            assert got.per_class == ref.per_class, where
+        assert object_state(predictor) == object_state(oracle), core
 
 
 class _ListCollector(EventCollector):

@@ -1,7 +1,7 @@
 """Differential equivalence: every simulation core vs the oracle.
 
 The branch-by-branch loop in ``tests/driver_oracle.py`` is the
-reference; the object (``object``), flat-kernel (``fast``) and
+reference; the object (``object``), fast (``fast``) and
 numpy-batched (``numpy``) cores all replay one decoded plan and must
 be *bit-identical* to the oracle — same mispredict counts, same
 per-class stats, same headline metrics, branch for branch.  This suite
@@ -34,6 +34,7 @@ from repro.predictors import (
 from repro.pipeline import BTBConfig
 from repro.sim import SimOptions, simulate, use_core
 from repro.sim import fastcore
+from repro.sim.fastcore.kernels import gshare_index
 from repro.trace.container import Trace, TraceMeta
 from repro.workloads import get_workload, workload_names
 from tests.differential_harness import REPLAYS, differential_check
@@ -149,12 +150,10 @@ def test_option_variants(workload, oname):
     trace = get_workload(workload).trace(scale="tiny", hyperblocks=True)
     options = VARIANT_OPTIONS[oname]
     for label, factory in PREDICTORS.items():
-        batchable = fastcore.batch_supported(
-            fastcore.kernel_from_predictor(factory())
-        )
+        batchable = fastcore.batch_supported(factory())
         for core in CORES:
             if core == "numpy" and not batchable:
-                # No numpy backend (only table kernels have one); the
+                # No numpy backend (only table predictors have one); the
                 # public knob falls back to the fast loops, which the
                 # "fast" leg of this loop already checks.
                 continue
@@ -172,36 +171,34 @@ def test_option_variants(workload, oname):
 def test_composite_trained_state_matches_object_predictor(
     label, oname, monkeypatch
 ):
-    """Chunked replay leaves every composite kernel's state exactly as
-    object training does, across chunk boundaries."""
+    """Chunked replay leaves every composite predictor's state exactly
+    as object training does, across chunk boundaries."""
     from repro.sim.fastcore import replay
 
     trace = get_workload("lexer").trace(scale="tiny", hyperblocks=True)
     options = {**MATRIX_OPTIONS, **VARIANT_OPTIONS}[oname]
     predictor = PREDICTORS[label]()
     result, _ = oracle_simulate(trace, predictor, options)
-    kernel = fastcore.kernel_from_predictor(PREDICTORS[label]())
+    replayed = PREDICTORS[label]()
     # lexer has ~21k events: many chunk boundaries
     monkeypatch.setattr(replay, "CHUNK_EVENTS", 1000)
-    fastcore.fast_replay(kernel, fastcore.plan_for(trace, options))
-    assert kernel.state() == object_state(predictor)
+    fastcore.fast_replay(replayed, fastcore.plan_for(trace, options))
+    assert object_state(replayed) == object_state(predictor)
     if label == "tage-aging":
         # Mispredicted updates tick toward aging: it ran many times.
         assert result.mispredictions > 10 * predictor.aging_period
 
 
 def test_trained_state_matches_object_predictor():
-    """Replay leaves the kernel tables exactly as object training does."""
+    """Replay leaves the tables exactly as object training does."""
     trace = get_workload("crc").trace(scale="tiny", hyperblocks=True)
     predictor = GSharePredictor(entries=1024, history_bits=10)
     oracle_simulate(trace, predictor, SimOptions())
     for core in FAST_CORES:
-        kernel = fastcore.kernel_from_predictor(
-            GSharePredictor(entries=1024, history_bits=10)
-        )
-        assert fastcore.batch_supported(kernel)
-        REPLAYS[core](kernel, fastcore.plan_for(trace, SimOptions()))
-        assert kernel.table == list(predictor.counters.table), core
+        replayed = GSharePredictor(entries=1024, history_bits=10)
+        assert fastcore.batch_supported(replayed)
+        REPLAYS[core](replayed, fastcore.plan_for(trace, SimOptions()))
+        assert replayed.counters.table == predictor.counters.table, core
 
 
 #: Tournaments over component pairs besides the default (local, gshare).
@@ -235,12 +232,12 @@ def test_tournament_of_other_components(oname):
 
 
 class TestSeededDivergence:
-    """Corrupt one kernel table entry; the harness must localise it."""
+    """Corrupt one table entry; the harness must localise it."""
 
-    def _first_read_entry(self, trace, kernel, options):
+    def _first_read_entry(self, trace, predictor, options):
         plan = fastcore.build_plan(trace, options)
         return plan, int(
-            kernel.batch_index(plan.pc[:1], plan.ghr[:1])[0]
+            gshare_index(predictor, plan.pc[:1], plan.ghr[:1])[0]
         )
 
     @pytest.mark.parametrize("core", FAST_CORES)
@@ -249,12 +246,13 @@ class TestSeededDivergence:
             scale="tiny", hyperblocks=True
         )
         factory = PREDICTORS["gshare"]
-        kernel = fastcore.kernel_from_predictor(factory())
-        _, entry = self._first_read_entry(trace, kernel, SimOptions())
+        corrupted = factory()
+        _, entry = self._first_read_entry(trace, corrupted, SimOptions())
         # Flip the prediction the very first branch will read.
-        kernel.table[entry] = 3 if kernel.table[entry] < 2 else 0
+        table = corrupted.counters.table
+        table[entry] = 3 if table[entry] < 2 else 0
         report = differential_check(
-            trace, factory, SimOptions(), core=core, kernel=kernel
+            trace, factory, SimOptions(), core=core, prebuilt=corrupted
         )
         assert not report.matches
         assert report.first_divergence == 0
@@ -476,9 +474,9 @@ def test_empty_trace_all_cores():
 
 
 def test_unsupported_predictor_falls_back_to_object():
-    """A predictor without a kernel — static, or a tournament with a
-    perceptron component — runs on the object core, counts the
-    fallback and matches the oracle."""
+    """A predictor the fast cores do not take — static, or a
+    tournament with a perceptron component — runs on the object core,
+    counts the fallback and matches the oracle."""
     from repro import telemetry
     from repro.predictors import make_predictor
 
@@ -494,8 +492,6 @@ def test_unsupported_predictor_falls_back_to_object():
     }
     for label, factory in factories.items():
         assert not fastcore.kernelizable(factory()), label
-        with pytest.raises(fastcore.KernelError):
-            fastcore.kernel_from_predictor(factory())
         ref, _ = oracle_simulate(trace, factory(), options)
         with telemetry.use_registry(
             telemetry.MetricsRegistry()

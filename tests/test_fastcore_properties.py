@@ -1,12 +1,13 @@
-"""Property tests for the flat predictor kernels.
+"""Property tests for the fast cores' replay of every predictor family.
 
 Drives random ``(pc, outcome)`` streams, with and without read /
-transition flags, through a kernel (:func:`fast_replay`, and
-:func:`batch_replay` where the numpy backend takes the kernel) and
-through its object predictor (:func:`object_replay`) over one replay
-plan: every mispredicted branch and the trained tables must match.  It
-also checks that kernel state survives a pickle round trip mid-stream
-(warm tables keep replaying identically) and ``state``/``load_state``.
+transition flags, through a predictor on the fast cores
+(:func:`fast_replay`, and :func:`batch_replay` where the numpy backend
+takes the predictor) and through its object ``predict``/``update``
+(:func:`object_replay`) over one replay plan: every mispredicted branch
+and the trained tables must match.  It also checks that a warm
+predictor survives a pickle round trip mid-stream (warm tables keep
+replaying identically) and that its tables are its whole state.
 """
 
 import copy
@@ -31,7 +32,6 @@ from repro.sim.fastcore import (
     batch_replay,
     batch_supported,
     fast_replay,
-    kernel_from_predictor,
     object_replay,
 )
 from tests.replay_oracle import make_plan, object_state
@@ -116,12 +116,13 @@ def stream_plan(stream, flags=None, history=0):
     return plan, history
 
 
-def replay_pair(predictor, kernel, plan, replay=fast_replay):
-    """Replay ``plan`` through both sides; assert the same mispredicted
+def replay_pair(predictor, replayed, plan, replay=fast_replay):
+    """Replay ``plan`` through ``predictor``'s object ``update`` and
+    through ``replay`` on ``replayed``; assert the same mispredicted
     branches and the same trained tables."""
     expected = object_replay(predictor, plan, np.full(plan.n, -1))
-    assert replay(kernel, plan).tolist() == expected.tolist()
-    assert kernel.state() == object_state(predictor)
+    assert replay(replayed, plan).tolist() == expected.tolist()
+    assert object_state(replayed) == object_state(predictor)
 
 
 @pytest.mark.parametrize("label", sorted(FACTORIES))
@@ -131,117 +132,107 @@ def test_kernel_matches_object_predictor(label, stream):
     factory = FACTORIES[label]
     plan, _ = stream_plan(*stream)
     replays = [fast_replay]
-    if batch_supported(kernel_from_predictor(factory())):
+    if batch_supported(factory()):
         replays.append(batch_replay)
     for replay in replays:
-        replay_pair(factory(), kernel_from_predictor(factory()), plan,
-                    replay)
+        replay_pair(factory(), factory(), plan, replay)
 
 
 @pytest.mark.parametrize("label", sorted(FACTORIES))
 @settings(max_examples=25, deadline=None)
 @given(stream=streams(), split=st.integers(min_value=0, max_value=200))
 def test_pickle_roundtrip_mid_stream(label, stream, split):
-    """Pickling a warm kernel must not perturb later predictions."""
+    """Pickling a warm predictor must not perturb later predictions."""
     factory = FACTORIES[label]
     stream, flags = stream
     predictor = factory()
-    kernel = kernel_from_predictor(factory())
+    replayed = factory()
     split = min(split, len(stream))
     head, history = stream_plan(stream[:split], flags and flags[:split])
-    replay_pair(predictor, kernel, head)
-    kernel = pickle.loads(pickle.dumps(kernel))
+    replay_pair(predictor, replayed, head)
+    replayed = pickle.loads(pickle.dumps(replayed))
     tail, _ = stream_plan(stream[split:], flags and flags[split:], history)
-    replay_pair(predictor, kernel, tail)
+    replay_pair(predictor, replayed, tail)
+
+
+def _load_tables(predictor, state) -> None:
+    """Give ``predictor`` copies of the tables in ``state`` (an
+    :func:`object_state`), by assignment."""
+    if isinstance(predictor, TournamentPredictor):
+        predictor.chooser.table = list(state["chooser"])
+        _load_tables(predictor.a, state["a"])
+        _load_tables(predictor.b, state["b"])
+    elif isinstance(predictor, PerceptronPredictor):
+        predictor.weights.update(
+            (i, row) for i, row in enumerate(state["weights"]) if any(row)
+        )
+    elif isinstance(predictor, TagePredictor):
+        predictor.base.table = list(state["base"])
+        for key in ("tags", "counters", "useful"):
+            setattr(predictor, key, [list(t) for t in state[key]])
+        predictor.ticks = state["ticks"]
+    else:
+        predictor.counters.table = list(state["table"])
+        if "histories" in state:
+            predictor.histories = list(state["histories"])
 
 
 @pytest.mark.parametrize("label", sorted(FACTORIES))
 def test_state_roundtrip(label):
-    """state()/load_state() is an exact snapshot of a warm kernel."""
+    """A warm predictor's tables are its whole state: a fresh predictor
+    given copies of them replays on exactly as the warm one does."""
     factory = FACTORIES[label]
-    warm = kernel_from_predictor(factory())
+    warm = factory()
     plan, history = stream_plan(
         [(pc & 255, (pc * 7) % 3 == 0) for pc in range(300)]
     )
     fast_replay(warm, plan)
-    fresh = kernel_from_predictor(factory())
-    fresh.load_state(warm.state())
-    assert fresh.state() == warm.state()
+    fresh = factory()
+    _load_tables(fresh, object_state(warm))
+    assert object_state(fresh) == object_state(warm)
     after, _ = stream_plan([(pc, pc % 3 == 1) for pc in range(64)],
                            history=history)
     assert fast_replay(fresh, after).tolist() == fast_replay(
         warm, after
     ).tolist()
-    assert fresh.state() == warm.state()
-
-
-def _reloaded(kernel):
-    clone = kernel_from_predictor(_wide_perceptron())
-    clone.load_state(kernel.state())
-    return clone
+    assert object_state(fresh) == object_state(warm)
 
 
 def _wide_perceptron():
     return PerceptronPredictor(entries=4096, history_bits=10, weight_bits=4)
 
 
-def _train(kernel, *events, ghr):
-    fast_replay(kernel, make_plan(
+def _train(predictor, *events, ghr):
+    fast_replay(predictor, make_plan(
         [pc for pc, _ in events], [t for _, t in events],
         ghr=[ghr] * len(events),
     ))
 
 
 @pytest.mark.parametrize("duplicate", [
-    lambda kernel: pickle.loads(pickle.dumps(kernel)),
+    lambda predictor: pickle.loads(pickle.dumps(predictor)),
     copy.deepcopy,
-    _reloaded,
-], ids=["pickle", "deepcopy", "load_state"])
+], ids=["pickle", "deepcopy"])
 def test_perceptron_untouched_rows_round_trip(duplicate):
-    """A perceptron kernel that has touched 2 of its 4096 rows copies
-    exactly; the copy makes an untouched row on first touch, and its
-    rows are its own."""
-    kernel = kernel_from_predictor(_wide_perceptron())
-    _train(kernel, (3, True), (3, True), (70, False), ghr=0b1011)
-    assert sorted(kernel.weights) == [3, 70]
-    clone = duplicate(kernel)
+    """A perceptron that has touched 2 of its 4096 rows copies exactly;
+    the copy makes an untouched row on first touch, and its rows are
+    its own."""
+    predictor = _wide_perceptron()
+    _train(predictor, (3, True), (3, True), (70, False), ghr=0b1011)
+    assert sorted(predictor.weights) == [3, 70]
+    clone = duplicate(predictor)
     assert type(clone.weights) is WeightRows
     assert sorted(clone.weights) == [3, 70]
-    assert clone.state() == kernel.state()
-    assert len(clone.state()["weights"]) == 4096
+    assert object_state(clone) == object_state(predictor)
+    assert len(object_state(clone)["weights"]) == 4096
     _train(clone, (4000, True), ghr=5)
-    assert 4000 not in kernel.weights
-    assert clone.state() != kernel.state()
-    _train(kernel, (4000, True), ghr=5)
-    assert clone.state() == kernel.state()
+    assert 4000 not in predictor.weights
+    assert object_state(clone) != object_state(predictor)
+    _train(predictor, (4000, True), ghr=5)
+    assert object_state(clone) == object_state(predictor)
     # Read-only events: predictions without training.
     reads = make_plan([3, 70, 4000, 4001], [1, 0, 1, 0], trans=[0] * 4,
                       ghr=[0b1011] * 4)
     assert fast_replay(clone, reads).tolist() == fast_replay(
-        kernel, reads
+        predictor, reads
     ).tolist()
-
-
-def test_load_state_rejects_wrong_size():
-    kernel = kernel_from_predictor(FACTORIES["gshare"]())
-    state = kernel.state()
-    bad = dict(state)
-    bad["table"] = bad["table"][:-1]
-    with pytest.raises(ValueError):
-        kernel.load_state(bad)
-
-
-@pytest.mark.parametrize("label, key", [
-    ("tournament", "chooser"),
-    ("perceptron", "weights"),
-    ("tage", "base"),
-    ("tage", "useful"),
-])
-def test_composite_load_state_rejects_wrong_size(label, key):
-    kernel = kernel_from_predictor(FACTORIES[label]())
-    before = kernel.state()
-    bad = dict(before)
-    bad[key] = bad[key][:-1]
-    with pytest.raises(ValueError):
-        kernel.load_state(bad)
-    assert kernel.state() == before  # a rejected load changes nothing

@@ -18,13 +18,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.isa.opcodes import BranchKind
 from repro.pipeline.fetchsim import FetchModel, simulate_frontend
-from repro.sim.driver import BranchFlags
-from repro.sim.fastcore.kernels import (
-    BimodalKernel,
-    GShareKernel,
-    PerceptronKernel,
-    TournamentKernel,
+from repro.predictors import (
+    BimodalPredictor,
+    GSharePredictor,
+    PerceptronPredictor,
+    TournamentPredictor,
 )
+from repro.sim.driver import BranchFlags
 from repro.sim.fastcore import fast_replay, replay
 from repro.sim.fastcore.replay import (
     _replay_perceptron,
@@ -34,6 +34,7 @@ from repro.sim.fastcore.replay import (
 from repro.trace.container import Trace, TraceMeta
 from tests.replay_oracle import (
     make_plan,
+    object_state,
     replay_perceptron,
     simulate_frontend_loop,
 )
@@ -50,39 +51,38 @@ pytestmark = pytest.mark.fastcore
 
 @st.composite
 def tournament_streams(draw):
-    """A (local, table kernel) tournament with random start state and a
-    uniform stream over it."""
+    """A (local, table predictor) tournament with random start state and
+    a uniform stream over it."""
     local, pc, taken, _, _ = draw(local_streams())
     b_entries = draw(st.sampled_from(SIZES))
     if draw(st.booleans()):
-        b = GShareKernel(b_entries, draw(st.sampled_from((0, 4, 12))))
+        b = GSharePredictor(
+            b_entries, history_bits=draw(st.sampled_from((0, 4, 12)))
+        )
     else:
-        b = BimodalKernel(b_entries)
-    b.load_state({"table": start_table(draw, b_entries)})
+        b = BimodalPredictor(b_entries)
+    b.counters.table = start_table(draw, b_entries)
     chooser_entries = draw(st.sampled_from(SIZES))
-    kernel = TournamentKernel(chooser_entries, local, b)
-    kernel.chooser = start_table(draw, chooser_entries)
+    predictor = TournamentPredictor(chooser_entries, local, b)
+    predictor.chooser.table = start_table(draw, chooser_entries)
     seed = draw(st.integers(0, 2**32 - 1))
     ghr = np.random.default_rng(seed).integers(
         0, 1 << 16, pc.shape[0]
     ).astype(np.uint64)
-    return kernel, pc, ghr, taken
+    return predictor, pc, ghr, taken
 
 
 @settings(max_examples=200, deadline=None)
 @given(stream=tournament_streams())
 def test_composed_tournament_matches_loop(stream):
-    kernel, pc, ghr, taken = stream
+    predictor, pc, ghr, taken = stream
     ones = np.ones(pc.shape[0], dtype=np.uint8)
-    oracle = copy.deepcopy(kernel)
+    oracle = copy.deepcopy(predictor)
     expected = _replay_tournament(oracle, pc, ghr, taken, ones, ones)
-    got = replay_tournament_runs(kernel, pc, ghr, taken, ones)
+    got = replay_tournament_runs(predictor, pc, ghr, taken, ones)
     assert got.dtype == np.int64
     assert got.tolist() == expected
-    assert kernel.chooser == oracle.chooser
-    assert kernel.a.table == oracle.a.table
-    assert kernel.a.histories == oracle.a.histories
-    assert kernel.b.table == oracle.b.table
+    assert object_state(predictor) == object_state(oracle)
 
 
 @st.composite
@@ -91,20 +91,21 @@ def perceptron_streams(draw):
     start weights, and a stream whose pcs and histories repeat, so
     outputs are reused between trainings.  Weight limits cover 0-9,
     127 and two that widen the lanes, histories 0-64 bits;
-    one-direction streams push weights into the clip."""
+    one-direction streams push weights into the clip.  Limits and
+    thresholds the constructor does not make are set as attributes."""
     entries = draw(st.sampled_from((1, 4, 64, 4096)))
     history_bits = draw(st.sampled_from((0, 1, 5, 12)) | st.integers(1, 64))
     # The three widest need 32-, 64- and 128-bit lanes.
     limit = draw(st.integers(0, 9)
                  | st.sampled_from((127, 2**15 - 1, 2**31 - 1, 2**62 - 1)))
-    threshold = draw(st.sampled_from((0, 1, 5, 37, 200)))
-    kernel = PerceptronKernel(entries, history_bits, limit, threshold)
+    predictor = _perceptron(entries, history_bits, limit,
+                            draw(st.sampled_from((0, 1, 5, 37, 200))))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     if draw(st.booleans()):
-        kernel.load_state({"weights": rng.integers(
+        predictor.weights.update(enumerate(rng.integers(
             -limit, limit + 1, (entries, history_bits + 1)
-        ).tolist()})
+        ).tolist()))
     count = draw(st.integers(0, 300))
     pcs = rng.integers(0, 4 * entries, draw(st.integers(1, 6)))
     histories = rng.integers(0, 2**64, draw(st.integers(1, 6)),
@@ -114,19 +115,26 @@ def perceptron_streams(draw):
     bias = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
     taken = (rng.random(count) < bias).astype(np.uint8)
     read, trans = flag_arrays(draw(st.sampled_from(FLAG_KINDS)), rng, count)
-    return kernel, pc, ghr, taken, read, trans
+    return predictor, pc, ghr, taken, read, trans
+
+
+def _perceptron(entries, history_bits, limit, threshold):
+    predictor = PerceptronPredictor(entries, history_bits)
+    predictor.weight_limit = limit
+    predictor.threshold = threshold
+    return predictor
 
 
 @settings(max_examples=300, deadline=None)
 @given(stream=perceptron_streams())
 def test_memoized_perceptron_matches_loop(stream):
-    kernel, pc, ghr, taken, read, trans = stream
-    oracle = copy.deepcopy(kernel)
+    predictor, pc, ghr, taken, read, trans = stream
+    oracle = copy.deepcopy(predictor)
     expected = replay_perceptron(oracle, pc, ghr, taken, read, trans)
-    got = _replay_perceptron(kernel, pc, ghr, taken, read, trans)
+    got = _replay_perceptron(predictor, pc, ghr, taken, read, trans)
     assert got == expected
-    assert kernel.state() == oracle.state()
-    assert sorted(kernel.weights) == sorted(oracle.weights)
+    assert object_state(predictor) == object_state(oracle)
+    assert sorted(predictor.weights) == sorted(oracle.weights)
 
 
 @settings(max_examples=50, deadline=None)
@@ -134,13 +142,13 @@ def test_memoized_perceptron_matches_loop(stream):
 def test_chunked_perceptron_matches_loop(stream, chunk):
     """Rows packed at every chunk's start and written back at its end
     carry the state across chunks exactly."""
-    kernel, pc, ghr, taken, read, trans = stream
-    oracle = copy.deepcopy(kernel)
+    predictor, pc, ghr, taken, read, trans = stream
+    oracle = copy.deepcopy(predictor)
     expected = replay_perceptron(oracle, pc, ghr, taken, read, trans)
     with mock.patch.object(replay, "CHUNK_EVENTS", chunk):
-        got = fast_replay(kernel, make_plan(pc, taken, read, trans, ghr))
+        got = fast_replay(predictor, make_plan(pc, taken, read, trans, ghr))
     assert got.tolist() == expected
-    assert kernel.state() == oracle.state()
+    assert object_state(predictor) == object_state(oracle)
 
 
 @pytest.mark.parametrize("limit", list(range(10)) + [127])
@@ -149,8 +157,8 @@ def test_chunked_perceptron_matches_loop(stream, chunk):
 def test_perceptron_lanes_clip(limit, history_bits, taken):
     """One row trained in one direction on alternating histories until
     its weights saturate: every lane reaches the clip, both ways."""
-    kernel = PerceptronKernel(4, history_bits, limit, threshold=10**6)
-    oracle = copy.deepcopy(kernel)
+    predictor = _perceptron(4, history_bits, limit, threshold=10**6)
+    oracle = copy.deepcopy(predictor)
     count = 2 * limit + 6
     ghr = np.tile(np.array([0, 2**history_bits - 1], dtype=np.uint64),
                   count)
@@ -158,16 +166,18 @@ def test_perceptron_lanes_clip(limit, history_bits, taken):
     outcome = np.full(2 * count, taken, dtype=np.uint8)
     ones = np.ones(2 * count, dtype=np.uint8)
     expected = replay_perceptron(oracle, pc, ghr, outcome, ones, ones)
-    got = _replay_perceptron(kernel, pc, ghr, outcome, ones, ones)
+    got = _replay_perceptron(predictor, pc, ghr, outcome, ones, ones)
     assert got == expected
-    assert kernel.state() == oracle.state()
+    assert object_state(predictor) == object_state(oracle)
     bias = limit if taken else -limit
-    assert kernel.weights[2][0] == bias
+    assert predictor.weights[2][0] == bias
 
 
 def test_perceptron_rejects_negative_threshold():
+    """The replay's training rule assumes a threshold of 0 or more."""
+    predictor = _perceptron(4, 3, 2, -1)
     with pytest.raises(ValueError):
-        PerceptronKernel(4, 3, 2, -1)
+        fast_replay(predictor, make_plan([1], [1]))
 
 
 def _fetch_case(idx, taken, correct, misfetch, instructions):

@@ -10,7 +10,7 @@ runs as well as alternating ones; their events read and train, or are
 read-only, train-only and mixed (:data:`FLAG_KINDS`).  They cover
 saturated and random start tables, tables and history tables beyond
 65,536 entries (with keys too wide to pack, the argsort branch of
-``group_events``), and local histories set with ``load_state``
+``group_events``), and local histories assigned to the predictor
 (including bits above the history length).
 """
 
@@ -27,13 +27,7 @@ from repro.predictors import (
     TournamentPredictor,
 )
 from repro.sim.fastcore import batch_replay, fast_replay, object_replay
-from repro.sim.fastcore.kernels import (
-    BimodalKernel,
-    GShareKernel,
-    LocalKernel,
-    TournamentKernel,
-    group_events,
-)
+from repro.sim.fastcore.kernels import group_events
 from repro.sim.fastcore.replay import replay_runs
 from tests.replay_oracle import (
     make_plan,
@@ -155,17 +149,18 @@ def test_scan_on_wide_keys_matches_oracle(kind, seed):
     read, trans = flag_arrays(kind, rng, count)
     table = rng.integers(0, 4, entries).tolist()
     plan = make_plan(pc, taken, read, trans)
-    expected_kernel = _table_kernel(table)
-    expected = oracle_replay(expected_kernel, plan)
-    kernel = _table_kernel(table)
-    assert fast_replay(kernel, plan).tolist() == expected.tolist()
-    assert kernel.table == expected_kernel.table
+    oracle = _bimodal(table)
+    expected = oracle_replay(oracle, plan)
+    predictor = _bimodal(table)
+    assert fast_replay(predictor, plan).tolist() == expected.tolist()
+    assert predictor.counters.table == oracle.counters.table
 
 
-def _table_kernel(table):
-    kernel = BimodalKernel(len(table))
-    kernel.load_state({"table": table})
-    return kernel
+def _bimodal(table):
+    """A bimodal predictor of ``len(table)`` counters holding ``table``."""
+    predictor = BimodalPredictor(len(table))
+    predictor.counters.table = list(table)
+    return predictor
 
 
 @settings(max_examples=150, deadline=None)
@@ -185,10 +180,11 @@ def test_table_kernel_cores_match_per_event_replay(stream):
         ) == expected
         assert oracle_table == reference.counters.table
     for replay in (fast_replay, batch_replay):
-        kernel = _table_kernel(table)
-        got = replay(kernel, plan)
+        predictor = _bimodal(table)
+        got = replay(predictor, plan)
         assert got.tolist() == expected, replay.__name__
-        assert kernel.table == reference.counters.table, replay.__name__
+        assert predictor.counters.table == reference.counters.table, \
+            replay.__name__
 
 
 @st.composite
@@ -196,43 +192,30 @@ def local_streams(draw):
     entries = draw(st.sampled_from(SIZES))
     local_entries = draw(st.sampled_from((1, 8, 1 << 17)))
     history_bits = draw(st.sampled_from((0, 1, 3, 6, 12, 63, 70)))
-    kernel = LocalKernel(entries, local_entries, history_bits)
-    table = start_table(draw, entries)
-    histories = [0] * local_entries
+    predictor = LocalPredictor(entries, local_entries, history_bits)
+    predictor.counters.table = start_table(draw, entries)
     loaded = draw(st.lists(
         st.tuples(st.integers(0, local_entries - 1),
                   st.integers(0, 2**80)),
         max_size=6,
     ))
     for slot, value in loaded:
-        histories[slot] = value
-    kernel.load_state({"table": table, "histories": histories})
+        predictor.histories[slot] = value
     # pcs span several history slots, aliasing beyond local_entries.
-    return (kernel,) + draw(events(4 * local_entries, True))
+    return (predictor,) + draw(events(4 * local_entries, True))
 
 
 @settings(max_examples=200, deadline=None)
 @given(stream=local_streams())
 def test_local_replay_matches_oracle(stream):
-    kernel, pc, taken, read, trans = stream
-    oracle = copy.deepcopy(kernel)
+    predictor, pc, taken, read, trans = stream
+    oracle = copy.deepcopy(predictor)
     expected = replay_local(
         oracle, pc.tolist(), taken.tolist(), read.tolist(), trans.tolist()
     )
-    got = fast_replay(kernel, make_plan(pc, taken, read, trans))
+    got = fast_replay(predictor, make_plan(pc, taken, read, trans))
     assert got.tolist() == expected
-    assert kernel.table == oracle.table
-    assert kernel.histories == oracle.histories
-
-
-def _object_local(kernel: LocalKernel) -> LocalPredictor:
-    """The object predictor of ``kernel``, with its tables loaded."""
-    predictor = LocalPredictor(
-        kernel.mask + 1, kernel.local_mask + 1, kernel.history_bits
-    )
-    predictor.counters.table = list(kernel.table)
-    predictor.histories = list(kernel.histories)
-    return predictor
+    assert object_state(predictor) == object_state(oracle)
 
 
 @settings(max_examples=100, deadline=None)
@@ -242,15 +225,15 @@ def test_tournament_local_indices_match_object_predictor(stream, seed):
     ghr = np.random.default_rng(seed).integers(
         0, 1 << 16, pc.shape[0]
     ).astype(np.uint64)
-    kernel = TournamentKernel(64, local, GShareKernel(256, 8))
-    reference = TournamentPredictor(
-        64, _object_local(local), GSharePredictor(256, history_bits=8)
+    predictor = TournamentPredictor(
+        64, local, GSharePredictor(256, history_bits=8)
     )
+    reference = copy.deepcopy(predictor)
     plan = make_plan(pc, taken, read, trans, ghr)
     expected = object_replay(reference, plan, np.full(plan.n, -1))
-    got = fast_replay(kernel, plan)
+    got = fast_replay(predictor, plan)
     assert got.tolist() == expected.tolist()
-    assert kernel.state() == object_state(reference)
+    assert object_state(predictor) == object_state(reference)
 
 
 @pytest.mark.parametrize("count", [0, 1])
@@ -260,15 +243,15 @@ def test_empty_and_single_event_streams(count, taken):
     outcome = [taken] * count
     plan = make_plan(pc, outcome)
     for replay in (fast_replay, batch_replay):
-        kernel = BimodalKernel(4)
-        got = replay(kernel, plan)
+        predictor = BimodalPredictor(4)
+        got = replay(predictor, plan)
         assert got.dtype == np.int64
         # A fresh counter (1) predicts not taken.
         assert got.tolist() == ([0] if count and taken else [])
         trained = (2 if taken else 0) if count else 1
-        assert kernel.table == [1, trained, 1, 1]
-    local = LocalKernel(16, 4, 3)
-    local.load_state({"table": [1] * 16, "histories": [0, 0b1011, 0, 0]})
+        assert predictor.counters.table == [1, trained, 1, 1]
+    local = LocalPredictor(16, 4, 3)
+    local.histories = [0, 0b1011, 0, 0]
     got = fast_replay(local, make_plan([1] * count, outcome))
     assert got.tolist() == ([0] if count and taken else [])
     expected = ((0b1011 & 0b111) << 1) | taken if count else 0b1011

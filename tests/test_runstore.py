@@ -356,16 +356,17 @@ class TestTrend:
         assert payload["metrics"] == {"m.mpki": [5.0]}
         assert payload["runs"][0]["run_id"] == records[0].run_id
 
-    def test_telemetry_report_integration(self, tmp_path):
-        from repro.telemetry import render_history_trend
-
+    def test_telemetry_report_integration(self, tmp_path, capsys):
         store = RunStore(tmp_path)
         store.add(make_record({"m.mpki": 5.0}, epoch=1000.0))
         store.add(make_record({"m.mpki": 4.0}, epoch=1001.0))
-        text = render_history_trend(tmp_path)
+        trend = ["history", "trend", "--store", str(tmp_path)]
+        assert main(trend) == 0
+        text = capsys.readouterr().out
         assert "# Run-history trends" in text
         assert "m.mpki" in text
-        assert render_history_trend(tmp_path, last=1).count("▄") == 1
+        assert main([*trend, "--last", "1"]) == 0
+        assert capsys.readouterr().out.count("▄") == 1
 
 
 class TestRecordingDeterminism:

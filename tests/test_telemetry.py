@@ -18,7 +18,6 @@ from repro.telemetry import (
     JsonlSink,
     MemorySink,
     MetricsRegistry,
-    NullSink,
     SpanCollector,
     read_events,
     span,
@@ -114,10 +113,6 @@ class TestRegistry:
 
 
 class TestSinks:
-    def test_null_sink_discards(self):
-        sink = NullSink()
-        sink.emit({"event": "span"})  # must not raise
-
     def test_memory_sink_collects(self):
         sink = MemorySink()
         sink.emit({"event": "span", "name": "x"})
